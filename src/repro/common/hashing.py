@@ -13,7 +13,12 @@ bitmap of Fig. 3 and the bit-vector filter of Fig. 5 behave pathologically
 
 from __future__ import annotations
 
-_MASK64 = (1 << 64) - 1
+MASK64 = (1 << 64) - 1
+#: SplitMix64 constants: the seed increment and the two finalizer
+#: multipliers (shared with the vectorized form in ``exec/vector.py``).
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+MIX_C1 = 0xBF58476D1CE4E5B9
+MIX_C2 = 0x94D049BB133111EB
 
 
 def mix64(value: int, seed: int = 0) -> int:
@@ -25,10 +30,10 @@ def mix64(value: int, seed: int = 0) -> int:
     """
     # (seed + 1) so that seed 0 still mixes value 0 away from the fixed
     # point of the finalizer (mix of exactly 0 would return 0).
-    z = (value + (seed + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    z = (value + (seed + 1) * GOLDEN_GAMMA) & MASK64
+    z = (z ^ (z >> 30)) * MIX_C1 & MASK64
+    z = (z ^ (z >> 27)) * MIX_C2 & MASK64
+    return (z ^ (z >> 31)) & MASK64
 
 
 def hash_to_bucket(value: int, num_buckets: int, seed: int = 0) -> int:

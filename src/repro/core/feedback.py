@@ -32,12 +32,16 @@ sessions so harvest order is deterministic under its own lock.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import re
+import stat
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.common.errors import FeedbackError
 from repro.core.requests import Mechanism, PageCountObservation, PageCountRequest
@@ -57,6 +61,45 @@ def table_of_key(key: str) -> Optional[str]:
     """
     match = _KEY_TABLE_RE.match(key)
     return match.group(1) if match else None
+
+
+def _is_flag(value: object) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_text(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_amount(value: object) -> bool:
+    """``None`` or a finite, non-negative number (not a bool)."""
+    if value is None:
+        return True
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+    return math.isfinite(value) and value >= 0
+
+
+def _persisted(entry: dict, name: str, valid: Callable[[object], bool], default):
+    """Field ``name`` of a persisted payload, type-checked.
+
+    A missing field takes ``default``; a present one must pass ``valid``
+    or the load fails with :class:`~repro.common.errors.FeedbackError`.
+    """
+    if name not in entry:
+        return default
+    value = entry[name]
+    if not valid(value):
+        raise FeedbackError(f"malformed feedback field {name!r}: {value!r}")
+    return value
 
 
 def _request_table(request: PageCountRequest) -> str:
@@ -472,20 +515,20 @@ class FeedbackStore:
                 f"got {type(records).__name__}"
             )
         store = cls()
-        store._sequence = int(payload.get("sequence", 0))
+        store._sequence = _persisted(payload, "sequence", _is_count, 0)
         for entry in records:
-            if not isinstance(entry, dict) or "key" not in entry:
+            if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
                 raise FeedbackError(
                     f"malformed feedback record (missing 'key'): {entry!r}"
                 )
             record = FeedbackRecord(
                 key=entry["key"],
-                page_count=entry.get("page_count"),
-                page_count_exact=bool(entry.get("page_count_exact", False)),
-                cardinality=entry.get("cardinality"),
-                mechanism=entry.get("mechanism", ""),
-                sequence=int(entry.get("sequence", 0)),
-                partial=bool(entry.get("partial", False)),
+                page_count=_persisted(entry, "page_count", _is_amount, None),
+                page_count_exact=_persisted(entry, "page_count_exact", _is_flag, False),
+                cardinality=_persisted(entry, "cardinality", _is_amount, None),
+                mechanism=_persisted(entry, "mechanism", _is_text, ""),
+                sequence=_persisted(entry, "sequence", _is_count, 0),
+                partial=_persisted(entry, "partial", _is_flag, False),
             )
             store._records[record.key] = record
         # Epochs are process-local freshness tokens, not persisted state:
@@ -512,8 +555,30 @@ class FeedbackStore:
             return self._epoch, self.to_json()
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write the store to ``path`` (a str or Path)."""
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        """Write the store to ``path`` (a str or Path), atomically.
+
+        The JSON goes to a temporary file in the same directory, which
+        is flushed and fsynced and then renamed over ``path``
+        (``os.replace``), so a crash mid-write leaves the previous file
+        intact rather than a truncated one.  The file keeps the mode of
+        an in-place write: an existing file's mode, or ``0o666`` less the
+        umask for a new one.
+        """
+        target = Path(path)
+        text = self.to_json()
+        handle, temporary = _create_temporary(target)
+        try:
+            with os.fdopen(handle, "w", encoding="utf-8") as stream:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(stream.fileno(), stat.S_IMODE(target.stat().st_mode))
+                stream.write(text)
+                stream.flush()
+                os.fsync(stream.fileno())
+            os.replace(temporary, target)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temporary)
+            raise
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FeedbackStore":
@@ -526,3 +591,20 @@ class FeedbackStore:
                 f"FeedbackStore({len(self._records)} expressions, "
                 f"epoch {self._epoch})"
             )
+
+
+def _create_temporary(target: Path) -> tuple[int, Path]:
+    """Create and open a new file next to ``target`` for writing.
+
+    Created with mode ``0o666``, which the kernel reduces by the umask
+    (``tempfile.mkstemp`` would create it owner-only).  ``O_EXCL`` makes
+    the name exclusive to this writer; names are tried in order.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    attempt = 0
+    while True:
+        temporary = target.with_name(f".{target.name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            return os.open(temporary, flags, 0o666), temporary
+        except FileExistsError:
+            attempt += 1

@@ -44,7 +44,6 @@ from repro.core.requests import (
     PageCountRequest,
 )
 from repro.sql.evaluator import BatchOutcome, TermOutcome, VectorOutcome
-from repro.sql.predicates import AtomicPredicate, Conjunction
 from repro.storage.accounting import IOContext
 
 _vector_module = None
@@ -136,31 +135,24 @@ class _ScanExpressionEntry:
                 self.page_satisfied = True
                 return
 
-    def observe_masks(self, truth_masks: Sequence, num_rows: int) -> None:
-        """Columnar form of :meth:`observe_batch`: fold witness masks.
+    def witness_mask(self, truth_masks: Sequence, num_rows: int) -> Any:
+        """Columnar form of :meth:`observe`: the rows witnessing the request.
 
         ``truth_masks[i]`` is term *i*'s witness mask (true on rows where
         the term was evaluated and held; see
         :class:`~repro.sql.evaluator.VectorOutcome`), or ``None`` when the
-        term was evaluated on no row — which can witness nothing.  The
-        flag ends up set iff some row witnesses every request term,
-        identical to the row and batch paths.
+        term was evaluated on no row — which can witness nothing, so the
+        result is ``None``.  A page's flag is set iff some row of the page
+        is true in the returned mask, identical to the row and batch paths.
         """
-        if self.page_satisfied or num_rows == 0:
-            return
-        if not self.term_indexes:
-            self.page_satisfied = True
-            return
         vec = _vec()
         witness = None
         for index in self.term_indexes:
             mask = truth_masks[index]
             if mask is None:
-                return
+                return None
             witness = mask if witness is None else vec.mask_and(witness, mask)
-            if not vec.mask_any(witness):
-                return
-        self.page_satisfied = True
+        return vec.ones_mask(num_rows) if witness is None else witness
 
     def fold_page(self, counted: bool) -> None:
         """End-of-page: fold the flag into the counter if the page counts
@@ -244,7 +236,11 @@ class ScanMonitorBundle:
     The scan calls, in order: :meth:`start_page` once per page,
     :meth:`observe_row` once per row (passing the term outcome it computed
     and the raw row), and :meth:`end_page` when the page is exhausted.
-    :meth:`needs_full_evaluation_on` tells the scan whether the current
+    Batch drives pass a page's rows at once (:meth:`observe_batch`); the
+    columnar drive evaluates many pages per kernel call, derives every
+    page's flags at once (:meth:`chunk_flags`) and then commits page by
+    page (:meth:`observe_page_flags` between the same two calls).
+    :meth:`needs_full_evaluation` tells the scan whether the current
     page requires short-circuiting to be off (Fig. 4 step 4).
     :meth:`finish` yields the observations.
     """
@@ -385,27 +381,67 @@ class ScanMonitorBundle:
             for bv_entry in self._bitvector_entries:
                 bv_entry.observe_batch(rows, io)
 
-    def observe_columns(
-        self, outcome: VectorOutcome, columns: Sequence, io: IOContext
-    ) -> None:
-        """Columnar form of :meth:`observe_batch`: consume witness masks.
+    def chunk_flags(
+        self, truth: Sequence, offsets: Sequence[int], full: bool
+    ) -> list[list[bool]]:
+        """Per-page witness flags of the expression entries over one chunk.
 
-        ``columns`` is the page's column vectors (for bit-vector probing);
-        the expression entries fold the outcome's witness masks directly.
-        Charges, flags and fold decisions are identical to the row path.
+        ``truth`` is a chunk-wide :class:`~repro.sql.evaluator.VectorOutcome`
+        truth list and ``offsets`` the chunk's page row offsets.  Returns
+        one per-page flag list per exact entry, followed — when ``full``
+        (``truth`` comes from a full, non-short-circuited evaluation) — by
+        one per sampled entry; :meth:`observe_page_flags` consumes them.
+        A flag is set iff some row of the page witnesses every request
+        term, which is what :meth:`observe_batch` would have decided.
+        """
+        entries = self._exact_expression_entries
+        if full:
+            entries = entries + self._sampled_expression_entries
+        num_pages = len(offsets) - 1
+        flags = [[False] * num_pages for _ in entries]
+        masks = []
+        positions = []
+        for position, entry in enumerate(entries):
+            mask = entry.witness_mask(truth, offsets[-1])
+            if mask is not None:
+                masks.append(mask)
+                positions.append(position)
+        for position, counts in zip(positions, _vec().segment_counts(masks, offsets)):
+            flags[position] = [count > 0 for count in counts]
+        return flags
+
+    def observe_page_flags(
+        self,
+        flags: Sequence[Sequence[bool]],
+        page: int,
+        num_rows: int,
+        columns: Sequence,
+        io: IOContext,
+    ) -> None:
+        """Columnar form of :meth:`observe_batch` for page ``page`` of a chunk.
+
+        ``flags`` comes from :meth:`chunk_flags` and ``columns`` is the
+        page's column vectors (for bit-vector probing, which stays a
+        per-value loop on sampled pages with its order-dependent probe
+        charging).  Charges, flags and fold decisions are identical to the
+        row path.
         """
         if not self._in_page:
-            raise MonitorError("observe_columns called outside a page")
-        num_rows = outcome.num_rows
+            raise MonitorError("observe_page_flags called outside a page")
         if num_rows == 0:
             return
         io.charge_monitor_checks(num_rows)
-        truth = outcome.truth
-        for entry in self._exact_expression_entries:
-            entry.observe_masks(truth, num_rows)
+        exact = self._exact_expression_entries
+        for entry, entry_flags in zip(exact, flags):
+            if entry_flags[page]:
+                entry.page_satisfied = True
         if self._current_page_sampled:
-            for entry in self._sampled_expression_entries:
-                entry.observe_masks(truth, num_rows)
+            sampled_flags = flags[len(exact):]
+            for entry, entry_flags in zip(
+                self._sampled_expression_entries, sampled_flags
+            ):
+                if entry_flags[page]:
+                    entry.page_satisfied = True
             for bv_entry in self._bitvector_entries:
                 bv_entry.observe_column(columns[bv_entry.column_position], io)
 
@@ -566,21 +602,18 @@ class _FetchEntry:
         if hashes:
             io.charge_hashes(hashes)
 
-    def observe_masks(
-        self, page_ids: Sequence[PageId], truth_masks: Sequence, io: IOContext
-    ) -> None:
+    def observe_masks(self, page_ids: Any, truth_masks: Sequence, io: IOContext) -> None:
         """Columnar form of :meth:`observe_batch`: AND witness masks.
 
-        Hashes the page ids of rows whose witness masks are all true —
-        the same set, in the same order, as the row loop — charging the
-        exact hash count.
+        ``page_ids`` is a column of the fetched rows' page ids.  Hashes
+        the page ids of rows whose witness masks are all true — the same
+        multiset as the row loop, and the linear counter is
+        order-insensitive — charging the exact hash count.
         """
         vec = _vec()
-        observe = self.counter.observe
         if not self.term_indexes:
-            io.charge_hashes(len(page_ids))
-            for page_id in page_ids:
-                observe(int(page_id))
+            io.charge_hashes(vec.column_length(page_ids))
+            self.counter.observe_many(page_ids)
             return
         witness = None
         for index in self.term_indexes:
@@ -591,8 +624,7 @@ class _FetchEntry:
         hashes = vec.mask_count(witness)
         if hashes:
             io.charge_hashes(hashes)
-            for page_id in vec.compress_values(page_ids, witness):
-                observe(int(page_id))
+            self.counter.observe_many(vec.take(page_ids, witness))
 
 
 class FetchMonitorBundle:
@@ -654,12 +686,16 @@ class FetchMonitorBundle:
 
     def observe_fetch_columns(
         self,
-        page_ids: Sequence[PageId],
+        page_ids: Any,
         outcome: Optional[VectorOutcome],
         io: IOContext,
     ) -> None:
-        """Columnar form of :meth:`observe_fetch_batch` (witness masks)."""
-        if not self._entries or not page_ids:
+        """Columnar form of :meth:`observe_fetch_batch` (witness masks).
+
+        ``page_ids`` is a column (see :mod:`repro.exec.vector`) parallel
+        to the rows the outcome covers.
+        """
+        if not self._entries or not _vec().column_length(page_ids):
             return
         truth_masks: Sequence = outcome.truth if outcome is not None else ()
         for entry in self._entries:

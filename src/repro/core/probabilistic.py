@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+from typing import Any
+
 from repro.common.errors import MonitorError
 from repro.common.hashing import hash_to_bucket
 
@@ -52,6 +54,24 @@ class LinearCounter:
             self._bits[byte_index] |= bit_mask
             self._bits_set += 1
         self.observations += 1
+
+    def observe_many(self, values: Any) -> None:
+        """:meth:`observe` every value of a column (vectorized).
+
+        Leaves the bitmap, ``bits_set`` and ``observations`` exactly as
+        observing the values one at a time would: the bucket hash is the
+        same function, and setting bits is order-insensitive.
+        """
+        # Imported lazily: core must stay importable without touching the
+        # exec package (which imports core back).
+        from repro.exec import vector
+
+        count = vector.column_length(values)
+        if not count:
+            return
+        buckets = vector.hash_buckets(values, self.num_bits, self.seed)
+        self._bits_set += vector.set_bits(self._bits, buckets)
+        self.observations += count
 
     @property
     def bits_set(self) -> int:

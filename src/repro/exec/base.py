@@ -46,7 +46,8 @@ class ExecutionContext:
     storage call and monitor charges it, so the run's timings and read
     counts are exact attributions (no global clock, no snapshot deltas).
     ``batch_rows`` is the chunk size relational-engine operators use in
-    batch mode (storage-engine scans batch per page regardless).
+    batch mode and the span columnar scans evaluate per kernel call
+    (monitored scans still commit and emit one batch per page).
     ``vectorized`` is set by the executor in columnar mode: operators
     with a columnar drive emit column-backed batches, everything else
     falls back to the batch path via the ``RowBatch.rows`` shim.

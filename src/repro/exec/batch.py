@@ -13,9 +13,10 @@ interface:
 
 * **row-backed** — a list of row tuples, exactly as before;
 * **column-backed** — a tuple of column vectors (one per output column,
-  see :mod:`repro.exec.vector`) plus a row count.  Columnar scans build
-  these straight from page column caches with zero copying on all-pass
-  pages.
+  see :mod:`repro.exec.vector`), or a lazy view that produces each
+  vector when it is first read, plus a row count.  Columnar scans build
+  these straight from the file column cache with zero copying on
+  all-pass pages, and slice or filter only the columns a consumer reads.
 
 Either way the logical content is the same ordered run of rows the row
 iterator would have yielded, which is what makes row ≡ batch ≡ columnar
@@ -30,7 +31,7 @@ carry no selection vectors — operators emit batches of *surviving* rows
 only.
 
 Column vectors held by a batch are read-only by contract: all-pass pages
-hand out the page's cached column tuple without copying.
+hand out views of the cached file columns without copying.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro.common.types import PageId
 from repro.exec import vector
 
-#: Chunk size for relational-engine batches (SE scans batch per page).
+#: Chunk size for relational-engine batches and for columnar scan
+#: evaluation (monitored SE scans still emit one batch per page).
 DEFAULT_BATCH_ROWS = 1024
 
 
@@ -62,7 +64,7 @@ class RowBatch:
         rows: Optional[list[tuple]] = None,
         page_id: Optional[PageId] = None,
         *,
-        columns: Optional[tuple] = None,
+        columns: Optional[Sequence] = None,
         num_rows: Optional[int] = None,
     ) -> None:
         if rows is None and columns is None:
@@ -87,8 +89,14 @@ class RowBatch:
         page_id: Optional[PageId] = None,
         num_rows: Optional[int] = None,
     ) -> "RowBatch":
-        """Build a column-backed batch from column vectors."""
-        return cls(page_id=page_id, columns=tuple(columns), num_rows=num_rows)
+        """Build a column-backed batch from column vectors.
+
+        A lazy :class:`~repro.exec.vector.ColumnsView` is kept as-is, so
+        only the columns a consumer reads are ever sliced or computed.
+        """
+        if not isinstance(columns, (tuple, vector.ColumnsView)):
+            columns = tuple(columns)
+        return cls(page_id=page_id, columns=columns, num_rows=num_rows)
 
     @property
     def is_columnar(self) -> bool:
@@ -103,8 +111,9 @@ class RowBatch:
         return self._rows
 
     @property
-    def columns(self) -> tuple:
-        """Column vectors, transposing from rows on first access."""
+    def columns(self) -> Sequence:
+        """Column vectors (a tuple or a lazy view), transposing from rows
+        on first access."""
         if self._columns is None:
             width = len(self._rows[0]) if self._rows else 0
             self._columns = vector.columns_from_rows(self._rows, width)

@@ -25,8 +25,9 @@ from repro.core.monitors import FetchMonitorBundle, ScanMonitorBundle
 from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
-from repro.sql.evaluator import BoundConjunction
+from repro.sql.evaluator import BoundConjunction, CompiledConjunction
 from repro.sql.predicates import Conjunction
+from repro.storage.heap import ColumnChunk
 from repro.storage.table import Table
 
 
@@ -40,7 +41,8 @@ class _MonitoredScanMixin:
 
     #: Resume tracking (armed by the reopt watchdog, off by default): the
     #: batch/columnar drives record the clustering-key value of the last
-    #: row of each *fully processed* page.  Cancellation raises at the
+    #: row of each *fully processed* page (of each chunk, for an
+    #: unmonitored columnar scan, which commits whole chunks).  Cancellation raises at the
     #: checkpoint that precedes the next page, and the downstream
     #: consumer has synchronously drained every yielded batch, so after a
     #: mid-query stop ``resume_key`` is an exact replay boundary: every
@@ -161,107 +163,168 @@ class _MonitoredScanMixin:
             if out:
                 yield RowBatch(out, page_id)
 
-    def _scan_pages_columnar(
-        self, ctx: ExecutionContext, page_iter: Iterator[tuple[Any, tuple, int]]
+    def _scan_columnar(
+        self, ctx: ExecutionContext, chunks: Iterator[ColumnChunk]
     ) -> Iterator[RowBatch]:
-        """Columnar drive over ``(page_id, column_vectors, num_rows)`` pages.
+        """Columnar drive: one kernel per chunk, committed page by page.
 
-        One whole-vector kernel evaluation per page; monitors consume the
-        witness masks directly.  Charges, observations and surviving rows
-        are identical to the row and batch drives.  Pages where every row
-        passes hand their file-level column views downstream with no copy;
-        unmonitored scans use the wider-chunked
-        :meth:`_scan_chunks_columnar` drive instead.
+        Consumes :class:`~repro.storage.heap.ColumnChunk` runs of about
+        ``ctx.batch_rows`` rows and evaluates each with one whole-vector
+        kernel — wide enough to amortize NumPy dispatch, which 73-row
+        pages cannot.  Without monitors nothing is page-granular, so the
+        whole chunk is committed at once (:meth:`_commit_chunk`).  With
+        monitors, :meth:`_commit_pages` replays every page boundary
+        exactly as a page-at-a-time drive would.
         """
         compiled = self._bind().compile()
-        num_query_terms = len(self.query_conjunction)
+        for chunk in chunks:
+            if self.bundle is None:
+                batch = self._commit_chunk(ctx, compiled, chunk)
+                if batch is not None:
+                    yield batch
+            else:
+                yield from self._commit_pages(ctx, compiled, chunk)
+
+    def _commit_chunk(
+        self, ctx: ExecutionContext, compiled: CompiledConjunction, chunk: ColumnChunk
+    ) -> Optional[RowBatch]:
+        """Read, charge and filter an unmonitored chunk as one unit.
+
+        Every observable here — reads, row/predicate charges, evaluation
+        counts, ``pages_touched``, surviving rows — is additive across
+        pages, so one checkpoint and one charge per chunk suffice.  The
+        checkpoint follows the chunk's page reads: a run stopped there
+        has read the whole chunk and committed only the chunks before it
+        (``resume_key`` is that of the last committed chunk).
+        """
+        columns, page_ids, offsets = chunk
+        io = ctx.io
+        stats = self.stats
+        read_page = self.table.data_file.page_reader(io)
+        for page_id in page_ids:
+            read_page(page_id)
+        num_rows = offsets[-1]
+        if not num_rows:
+            return None
+        ctx.checkpoint()
+        stats.pages_touched += sum(
+            1 for start, stop in zip(offsets, offsets[1:]) if stop > start
+        )
+        io.charge_rows(num_rows)
+        if self.resume_tracking and self.resume_key_position is not None:
+            self.resume_key = vector.value_at(
+                columns[self.resume_key_position], num_rows - 1
+            )
+        outcome = compiled.evaluate_columns(
+            columns, num_rows, len(self.query_conjunction), short_circuit=True
+        )
+        io.charge_predicates(outcome.evaluations)
+        stats.predicate_evaluations += outcome.evaluations
+        selected = vector.mask_count(outcome.passed)
+        stats.actual_rows += selected
+        if not selected:
+            return None
+        if selected < num_rows:
+            columns = vector.take_columns(columns, outcome.passed)
+        return RowBatch.from_columns(columns, page_ids[0], num_rows=selected)
+
+    def _commit_pages(
+        self, ctx: ExecutionContext, compiled: CompiledConjunction, chunk: ColumnChunk
+    ) -> Iterator[RowBatch]:
+        """Evaluate a monitored chunk once, then commit it page by page.
+
+        The chunk-wide kernel runs the query's terms with short-circuit
+        semantics, so term *i*'s witness mask is the prefix conjunction
+        of terms ``0..i``.  Per page, segmented reductions over the page
+        row offsets then give exactly what evaluating that page alone
+        would have: surviving rows (the last prefix mask), predicate
+        evaluations (term *i* is evaluated on the rows alive after term
+        *i-1*) and each monitor entry's page flag.  The first page the
+        Bernoulli sampler selects for full evaluation triggers one full,
+        non-short-circuited evaluation of the whole chunk, whose raw term
+        masks serve every sampled page of the chunk.
+
+        The commit loop then replays each page boundary in the
+        page-at-a-time order — the page read, ``ctx.checkpoint()``,
+        ``pages_touched``, row charge, resume key, sampler coin,
+        predicate charge, monitor checks and flags, ``end_page``,
+        ``actual_rows`` — and yields the page's surviving rows before the
+        next page's checkpoint.  So the reopt watchdog, cancellation and
+        partial harvest observe the same state at the same boundaries as
+        with page-at-a-time evaluation: a chunk never runs ahead of them.
+        """
+        columns, page_ids, offsets = chunk
         io = ctx.io
         bundle = self.bundle
+        assert bundle is not None
         stats = self.stats
-        track_resume = self.resume_tracking
-        key_position = self.resume_key_position
-        for page_id, columns, num_rows in page_iter:
+        read_page = self.table.data_file.page_reader(io)
+        key_position = self.resume_key_position if self.resume_tracking else None
+        num_query_terms = len(self.query_conjunction)
+        num_rows = offsets[-1]
+        outcome = compiled.evaluate_columns(
+            columns, num_rows, num_query_terms, short_circuit=True
+        )
+        truth = outcome.truth
+        # Prefix masks alive before terms 1..n-1 (None once every row of
+        # the chunk is dead: later terms were evaluated on no row).
+        alive = [
+            truth[i]
+            for i in range(num_query_terms - 1)
+            if truth[i] is not None
+        ]
+        *alive_counts, passed_counts = vector.segment_counts(
+            alive + [outcome.passed], offsets
+        )
+        # Short-circuited evaluations per page: term 0 on every row, term
+        # i on the rows alive after term i-1.
+        short_circuit_evaluations = [
+            (stop - start if num_query_terms else 0) + sum(counts)
+            for start, stop, *counts in zip(offsets, offsets[1:], *alive_counts)
+        ]
+        flags = bundle.chunk_flags(truth, offsets, full=False)
+        full_flags = None
+        filtered = vector.take_columns(columns, outcome.passed)
+        out_start = 0
+        for page, page_id in enumerate(page_ids):
+            read_page(page_id)
+            start, stop = offsets[page], offsets[page + 1]
+            if start == stop:
+                continue  # read only to find that the range ended
             ctx.checkpoint()
             stats.pages_touched += 1
-            io.charge_rows(num_rows)
-            if track_resume and num_rows and key_position is not None:
-                self.resume_key = vector.column_values(
-                    columns[key_position]
-                )[-1]
-            if bundle is not None:
-                bundle.start_page(page_id)
-                if bundle.needs_full_evaluation():
-                    outcome = compiled.evaluate_columns(
+            page_rows = stop - start
+            io.charge_rows(page_rows)
+            if key_position is not None:
+                self.resume_key = vector.value_at(columns[key_position], stop - 1)
+            bundle.start_page(page_id)
+            if bundle.needs_full_evaluation():
+                if full_flags is None:
+                    full = compiled.evaluate_columns(
                         columns, num_rows, short_circuit=False
                     )
-                    passed = outcome.prefix_passed(num_query_terms)
-                else:
-                    outcome = compiled.evaluate_columns(
-                        columns, num_rows, num_query_terms, short_circuit=True
-                    )
-                    passed = outcome.passed
-                io.charge_predicates(outcome.evaluations)
-                stats.predicate_evaluations += outcome.evaluations
-                bundle.observe_columns(outcome, columns, io)
-                bundle.end_page()
+                    full_flags = bundle.chunk_flags(full.truth, offsets, full=True)
+                page_flags = full_flags
+                evaluations = page_rows * len(compiled)
             else:
-                outcome = compiled.evaluate_columns(
-                    columns, num_rows, num_query_terms, short_circuit=True
+                page_flags = flags
+                evaluations = short_circuit_evaluations[page]
+            io.charge_predicates(evaluations)
+            stats.predicate_evaluations += evaluations
+            page_columns = vector.SlicedColumns(columns, start, stop)
+            bundle.observe_page_flags(page_flags, page, page_rows, page_columns, io)
+            bundle.end_page()
+            selected = passed_counts[page]
+            stats.actual_rows += selected
+            if selected == page_rows:
+                yield RowBatch.from_columns(page_columns, page_id, num_rows=page_rows)
+            elif selected:
+                yield RowBatch.from_columns(
+                    vector.SlicedColumns(filtered, out_start, out_start + selected),
+                    page_id,
+                    num_rows=selected,
                 )
-                passed = outcome.passed
-                io.charge_predicates(outcome.evaluations)
-                stats.predicate_evaluations += outcome.evaluations
-            selected = vector.mask_count(passed)
-            stats.actual_rows += selected
-            if not selected:
-                continue
-            if selected == num_rows:
-                yield RowBatch.from_columns(columns, page_id, num_rows=num_rows)
-            else:
-                filtered = tuple(vector.take(column, passed) for column in columns)
-                yield RowBatch.from_columns(filtered, page_id, num_rows=selected)
-
-    def _scan_chunks_columnar(
-        self,
-        ctx: ExecutionContext,
-        chunk_iter: Iterator[tuple[Any, int, Any, int]],
-    ) -> Iterator[RowBatch]:
-        """Unmonitored columnar drive over multi-page column chunks.
-
-        Consumes ``(first_page_id, page_count, columns_view, num_rows)``
-        tuples (:meth:`~repro.storage.heap.DataFile.scan_column_chunks`),
-        evaluating one whole-vector kernel per ~``ctx.batch_rows`` rows —
-        wide enough to amortize NumPy dispatch, which 73-row pages cannot.
-        Only legal without a monitor bundle: monitors are page-granular
-        (Bernoulli page sampling, per-page counter feeds), while every
-        observable this path touches — row/predicate charges, evaluation
-        counts, pages_touched, surviving rows — is additive across pages,
-        so chunk boundaries cannot change it.
-        """
-        assert self.bundle is None
-        compiled = self._bind().compile()
-        num_query_terms = len(self.query_conjunction)
-        io = ctx.io
-        stats = self.stats
-        for first_page_id, page_count, columns, num_rows in chunk_iter:
-            ctx.checkpoint()
-            stats.pages_touched += page_count
-            io.charge_rows(num_rows)
-            outcome = compiled.evaluate_columns(
-                columns, num_rows, num_query_terms, short_circuit=True
-            )
-            passed = outcome.passed
-            io.charge_predicates(outcome.evaluations)
-            stats.predicate_evaluations += outcome.evaluations
-            selected = vector.mask_count(passed)
-            stats.actual_rows += selected
-            if not selected:
-                continue
-            if selected == num_rows:
-                yield RowBatch.from_columns(columns, first_page_id, num_rows=num_rows)
-            else:
-                filtered = tuple(vector.take(column, passed) for column in columns)
-                yield RowBatch.from_columns(filtered, first_page_id, num_rows=selected)
+            out_start += selected
 
     def finalize(self, ctx: ExecutionContext) -> None:
         if self.bundle is not None:
@@ -302,17 +365,9 @@ class SeqScan(_MonitoredScanMixin, Operator):
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         if ctx.vectorized:
-            if self.bundle is None:
-                # No monitors → no page-granular observables: chunk many
-                # pages per kernel call (see _scan_chunks_columnar).
-                yield from self._scan_chunks_columnar(
-                    ctx,
-                    self.table.data_file.scan_column_chunks(ctx.io, ctx.batch_rows),
-                )
-            else:
-                yield from self._scan_pages_columnar(
-                    ctx, self.table.data_file.scan_page_columns(ctx.io)
-                )
+            yield from self._scan_columnar(
+                ctx, self.table.data_file.column_chunks(ctx.batch_rows)
+            )
             return
 
         def pages():
@@ -386,10 +441,20 @@ class ClusteredRangeScan(_MonitoredScanMixin, Operator):
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
         clustered = self.table.clustered_file()
         if ctx.vectorized:
-            yield from self._scan_pages_columnar(
+            # Unmonitored, a range scan is committed in one-page chunks, so
+            # it checkpoints once per page like its row and batch drives: a
+            # deadline stops it within one page, with every page it read
+            # processed, and a watchdog watching another operator of the
+            # plan sees the same boundaries.
+            rows_per_chunk = ctx.batch_rows if self.bundle is not None else 1
+            yield from self._scan_columnar(
                 ctx,
-                clustered.seek_range_columns(
-                    ctx.io, self.low, self.high, self.low_inclusive, self.high_inclusive
+                clustered.seek_range_chunks(
+                    self.low,
+                    self.high,
+                    self.low_inclusive,
+                    self.high_inclusive,
+                    rows_per_chunk,
                 ),
             )
             return

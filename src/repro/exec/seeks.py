@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
+from repro.common.types import RID
 from repro.core.monitors import FetchMonitorBundle
 from repro.exec import vector
 from repro.exec.base import ExecutionContext, Operator
@@ -34,6 +35,18 @@ class _FetchResidualMixin:
     bundle: Optional[FetchMonitorBundle]
     monitor_full_eval: bool
 
+    def _fetch(self, ctx: ExecutionContext, rids: Iterator[RID]) -> Iterator[RowBatch]:
+        """Batch drive over a RID stream: each RID's row is fetched (its
+        data page read) as the stream reaches it, so the index's leaf
+        reads and the data-page reads interleave as in the row drive."""
+        io = ctx.io
+        if ctx.vectorized:
+            data_file = self.table.data_file
+            return self._fetch_columnar(
+                ctx, data_file.fetch_chunks(io, rids, ctx.batch_rows)
+            )
+        return self._fetch_batches(ctx, (self.table.fetch(io, rid) for rid in rids))
+
     def _fetch_batches(
         self, ctx: ExecutionContext, fetch_iter: Iterator[tuple[Any, tuple]]
     ) -> Iterator[RowBatch]:
@@ -42,13 +55,8 @@ class _FetchResidualMixin:
         Accounting and monitor feeds are totals-identical to the row loop:
         one ``charge_rows(n)`` per chunk, the residual evaluated with the
         same short-circuit setting, and the fetch bundle observing the
-        same (page id, truth) pairs.  In columnar mode the chunks are
-        transposed into column vectors and run through whole-vector
-        kernels instead.
+        same (page id, truth) pairs.
         """
-        if ctx.vectorized:
-            yield from self._fetch_batches_columnar(ctx, fetch_iter)
-            return
         io = ctx.io
         compiled = BoundConjunction(
             self.residual, self.table.schema.column_names
@@ -88,59 +96,54 @@ class _FetchResidualMixin:
                 yield RowBatch(out)
         stats.pages_touched = len(pages_seen)
 
-    def _fetch_batches_columnar(
-        self, ctx: ExecutionContext, fetch_iter: Iterator[tuple[Any, tuple]]
+    def _fetch_columnar(
+        self,
+        ctx: ExecutionContext,
+        chunks: Iterator[tuple[list[Any], list[int]]],
     ) -> Iterator[RowBatch]:
-        """Columnar chunk drive for a ``(page_id, row)`` fetch stream."""
+        """Columnar drive over ``(page_ids, row_positions)`` fetch chunks.
+
+        The storage layer has already read each chunk's pages in fetch
+        order (:meth:`~repro.storage.heap.DataFile.fetch_chunks`); the
+        chunk's column vectors are gathered from the data file's column
+        cache by row position, evaluated with whole-vector kernels, and
+        the fetch bundle hashes the witnessing rows' page ids in one
+        vectorized step.  Checkpoints, charges and counter feeds match
+        :meth:`_fetch_batches` chunk for chunk.
+        """
         io = ctx.io
-        width = len(self.table.schema.column_names)
         compiled = BoundConjunction(
             self.residual, self.table.schema.column_names
         ).compile()
         short_circuit = not self.monitor_full_eval
         bundle = self.bundle
         stats = self.stats
-        chunk_size = ctx.batch_rows
+        file_columns = self.table.data_file.file_columns()
         pages_seen: set[int] = set()
-        rows_buf: list[tuple] = []
-        page_ids: list[Any] = []
-
-        def flush() -> Optional[RowBatch]:
-            num_rows = len(rows_buf)
+        for page_ids, positions in chunks:
+            if len(page_ids) >= ctx.batch_rows:  # a full chunk, as in batch mode
+                ctx.checkpoint()
+            num_rows = len(page_ids)
+            pages_seen.update(page_ids)
             io.charge_rows(num_rows)
-            chunk_columns = vector.columns_from_rows(rows_buf, width)
+            columns = vector.gather_columns(file_columns, positions)
             outcome = compiled.evaluate_columns(
-                chunk_columns, num_rows, short_circuit=short_circuit
+                columns, num_rows, short_circuit=short_circuit
             )
             io.charge_predicates(outcome.evaluations)
             stats.predicate_evaluations += outcome.evaluations
             if bundle is not None:
-                bundle.observe_fetch_columns(page_ids, outcome, io)
+                bundle.observe_fetch_columns(
+                    vector.make_column(page_ids), outcome, io
+                )
             selected = vector.mask_count(outcome.passed)
             stats.actual_rows += selected
-            if not selected:
-                return None
             if selected == num_rows:
-                return RowBatch.from_columns(chunk_columns, num_rows=num_rows)
-            filtered = tuple(
-                vector.take(column, outcome.passed) for column in chunk_columns
-            )
-            return RowBatch.from_columns(filtered, num_rows=selected)
-
-        for page_id, row in fetch_iter:
-            pages_seen.add(int(page_id))
-            rows_buf.append(row)
-            page_ids.append(page_id)
-            if len(rows_buf) >= chunk_size:
-                ctx.checkpoint()
-                batch = flush()
-                if batch is not None:
-                    yield batch
-                rows_buf, page_ids = [], []
-        if rows_buf:
-            batch = flush()
-            if batch is not None:
-                yield batch
+                yield RowBatch.from_columns(columns, num_rows=num_rows)
+            elif selected:
+                yield RowBatch.from_columns(
+                    vector.take_columns(columns, outcome.passed), num_rows=selected
+                )
         stats.pages_touched = len(pages_seen)
 
 
@@ -206,14 +209,13 @@ class IndexSeekFetch(_FetchResidualMixin, Operator):
         self.stats.pages_touched = len(pages_seen)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        io = ctx.io
-        fetches = (
-            self.table.fetch(io, rid)
+        rids = (
+            rid
             for _key, rid, _payload in self.index.seek_range(
-                io, self.low, self.high, self.low_inclusive, self.high_inclusive
+                ctx.io, self.low, self.high, self.low_inclusive, self.high_inclusive
             )
         )
-        yield from self._fetch_batches(ctx, fetches)
+        yield from self._fetch(ctx, rids)
 
     def finalize(self, ctx: ExecutionContext) -> None:
         if self.bundle is not None:
@@ -282,14 +284,12 @@ class IndexInListSeekFetch(_FetchResidualMixin, Operator):
         self.stats.pages_touched = len(pages_seen)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        io = ctx.io
-
-        def fetches() -> Iterator[tuple[Any, tuple]]:
-            for value in self.values:
-                for _key, rid, _payload in self.index.seek_equal(io, value):
-                    yield self.table.fetch(io, rid)
-
-        yield from self._fetch_batches(ctx, fetches())
+        rids = (
+            rid
+            for value in self.values
+            for _key, rid, _payload in self.index.seek_equal(ctx.io, value)
+        )
+        yield from self._fetch(ctx, rids)
 
     def finalize(self, ctx: ExecutionContext) -> None:
         if self.bundle is not None:
@@ -396,11 +396,7 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
         self.stats.pages_touched = len(pages_seen)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        io = ctx.io
-        fetches = (
-            self.table.fetch(io, rid) for rid in self._intersect_rids(io)
-        )
-        yield from self._fetch_batches(ctx, fetches)
+        yield from self._fetch(ctx, iter(self._intersect_rids(ctx.io)))
 
     def finalize(self, ctx: ExecutionContext) -> None:
         if self.bundle is not None:

@@ -37,6 +37,14 @@ from contextlib import contextmanager
 from itertools import compress
 from typing import Any, Callable, Iterator, Sequence, Union
 
+from repro.common.hashing import (
+    GOLDEN_GAMMA as _GOLDEN_GAMMA,
+    MASK64 as _MASK64,
+    MIX_C1 as _MIX_C1,
+    MIX_C2 as _MIX_C2,
+    hash_to_bucket,
+)
+
 try:  # NumPy is an optional accelerator, never a requirement.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the import-blocked leg
@@ -122,19 +130,46 @@ def make_scan_column(values: list) -> Column:
     return arr
 
 
-class SlicedColumns:
-    """Zero-copy view of a contiguous row range of file-level columns.
+class ColumnsView:
+    """Base of the lazy column-set views below.
 
-    Behaves like the tuple-of-columns the columnar drives consume
-    (``len`` is the column count, ``[i]``/iteration yield per-column
-    vectors), but materializes each column slice on access — ndarray
-    slices are views, so handing a 73-row page or a 1024-row chunk out
-    of a file-wide vector allocates nothing on the NumPy backend.
+    A view behaves like the tuple-of-columns the columnar operators
+    consume (``len`` is the column count, ``[i]``/iteration yield
+    per-column vectors) but produces each column only when it is read,
+    so a consumer that reads one column of a wide batch pays for one.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def __getitem__(self, position: int) -> Column:
+        raise NotImplementedError
+
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
+    def __iter__(self) -> Iterator[Column]:
+        for position in range(len(self)):
+            yield self[position]
+
+
+class SlicedColumns(ColumnsView):
+    """Zero-copy view of a contiguous row range of another column set.
+
+    ndarray slices are views, so handing a 73-row page or a 1024-row
+    chunk out of a file-wide vector allocates nothing on the NumPy
+    backend.  A slice of a slice is flattened onto the original source.
     """
 
     __slots__ = ("_source", "_start", "_stop")
 
     def __init__(self, source: Sequence, start: int, stop: int) -> None:
+        if isinstance(source, SlicedColumns):
+            start += source._start
+            stop += source._start
+            source = source._source
         self._source = source
         self._start = start
         self._stop = stop
@@ -142,16 +177,33 @@ class SlicedColumns:
     def __len__(self) -> int:
         return len(self._source)
 
-    def __bool__(self) -> bool:
-        return len(self._source) > 0
-
     def __getitem__(self, position: int) -> Column:
         return self._source[position][self._start : self._stop]
 
-    def __iter__(self) -> Iterator[Column]:
-        start, stop = self._start, self._stop
-        for column in self._source:
-            yield column[start:stop]
+
+class DerivedColumns(ColumnsView):
+    """Columns computed from another column set, each on first read.
+
+    ``derive`` maps one source column to its derived column (a mask
+    take, a row gather); each result is cached.
+    """
+
+    __slots__ = ("_source", "_derive", "_columns")
+
+    def __init__(self, source: Sequence, derive: Callable[[Column], Column]) -> None:
+        self._source = source
+        self._derive = derive
+        self._columns: list = [None] * len(source)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def __getitem__(self, position: int) -> Column:
+        column = self._columns[position]
+        if column is None:
+            column = self._derive(self._source[position])
+            self._columns[position] = column
+        return column
 
 
 def columns_from_rows(rows: Sequence[tuple], num_columns: int) -> tuple:
@@ -179,11 +231,6 @@ def column_values(column: Column) -> list:
     return column
 
 
-def slice_column(column: Column, start: int, stop: int) -> Column:
-    """Contiguous sub-column (ndarray slices are zero-copy views)."""
-    return column[start:stop]
-
-
 def take(column: Column, mask: Mask) -> Column:
     """Rows of ``column`` where ``mask`` is true, preserving order."""
     if _is_array(column):
@@ -192,19 +239,133 @@ def take(column: Column, mask: Mask) -> Column:
         return column[_np.asarray(mask, dtype=bool)]
     if _is_array(mask):
         mask = mask.tolist()
-    return [value for value, keep in zip(column, mask) if keep]
+    return list(compress(column, mask))
 
 
-def compress_values(values: Sequence, mask: Mask) -> Iterator:
-    """Iterate items of a plain sequence selected by a mask."""
-    return compress(values, mask)
+def take_columns(columns: Sequence[Column], mask: Mask) -> DerivedColumns:
+    """:func:`take` of every column, each computed when first read."""
+    return DerivedColumns(columns, lambda column: take(column, mask))
+
+
+def gather_columns(columns: Sequence[Column], positions: list[int]) -> DerivedColumns:
+    """Rows at ``positions`` (in that order) of every column, each
+    gathered when first read.
+
+    The row-position list is converted to an index array once and reused
+    for every ndarray column; list columns are gathered by comprehension.
+    """
+    index = None
+
+    def gather(column: Column) -> Column:
+        nonlocal index
+        if _is_array(column):
+            if index is None:
+                index = _np.asarray(positions, dtype=_np.intp)
+            return column[index]
+        return [column[position] for position in positions]
+
+    return DerivedColumns(columns, gather)
+
+
+def value_at(column: Column, position: int) -> Any:
+    """One value of a column as a Python scalar."""
+    value = column[position]
+    return value.item() if _is_array(column) else value
+
+
+# --- hashing and bitmaps -------------------------------------------------
+
+def hash_buckets(values: Column, num_buckets: int, seed: int = 0) -> Column:
+    """:func:`~repro.common.hashing.hash_to_bucket` of every integer value.
+
+    The NumPy backend runs the SplitMix64 finalizer in wrapping
+    ``uint64`` arithmetic, which is bit-for-bit the masked Python
+    arithmetic of :func:`~repro.common.hashing.mix64` (negative values
+    wrap to two's complement in both).
+    """
+    if _np is None or _force_python:
+        return [hash_to_bucket(int(value), num_buckets, seed) for value in values]
+    z = _np.asarray(values).astype(_np.uint64)
+    z = z + _np.uint64(((seed + 1) * _GOLDEN_GAMMA) & _MASK64)
+    z = (z ^ (z >> _np.uint64(30))) * _np.uint64(_MIX_C1)
+    z = (z ^ (z >> _np.uint64(27))) * _np.uint64(_MIX_C2)
+    z = z ^ (z >> _np.uint64(31))
+    return z % _np.uint64(num_buckets)
+
+
+def set_bits(bitmap: bytearray, buckets: Column) -> int:
+    """OR bit ``b`` into ``bitmap`` for every bucket ``b``.
+
+    Returns how many bits were newly set.  Setting bits is
+    order-insensitive, so one vectorized OR over the distinct buckets
+    leaves the bitmap exactly as setting them one at a time would.
+    """
+    if _is_array(buckets):
+        view = _np.frombuffer(bitmap, dtype=_np.uint8)
+        distinct = _np.unique(buckets)
+        byte_index = (distinct >> _np.uint64(3)).astype(_np.intp)
+        bit_mask = (_np.uint64(1) << (distinct & _np.uint64(7))).astype(_np.uint8)
+        fresh = (view[byte_index] & bit_mask) == 0
+        _np.bitwise_or.at(view, byte_index[fresh], bit_mask[fresh])
+        return int(fresh.sum())
+    newly_set = 0
+    for bucket in buckets:
+        byte_index, bit_mask = bucket >> 3, 1 << (bucket & 7)
+        if not bitmap[byte_index] & bit_mask:
+            bitmap[byte_index] |= bit_mask
+            newly_set += 1
+    return newly_set
+
+
+# --- segmented reductions ------------------------------------------------
+
+def segment_counts(masks: Sequence[Mask], offsets: Sequence[int]) -> list[list[int]]:
+    """Per-segment true counts of each mask.
+
+    ``offsets`` holds ``k + 1`` ascending row offsets delimiting ``k``
+    contiguous segments (segment *s* is rows ``offsets[s]:offsets[s+1]``;
+    empty segments are allowed).  Returns one list of ``k`` counts per
+    mask — the per-page reductions a chunk-wide kernel evaluation is
+    committed page by page with.
+    """
+    if not masks:
+        return []
+    if _np is not None and all(_is_array(mask) for mask in masks):
+        # reduceat cannot express an empty segment, but empty segments
+        # take no rows: reduce over the non-empty ones (which still tile
+        # the rows) and report zero for the rest.
+        segments = list(zip(offsets, offsets[1:]))
+        starts = [start for start, stop in segments if stop > start]
+        if not starts:
+            return [[0] * len(segments) for _ in masks]
+        stack = _np.vstack(masks).view(_np.int8)
+        sums = _np.add.reduceat(stack, starts, axis=1, dtype=_np.int64).tolist()
+        if len(starts) == len(segments):
+            return sums
+        counts = []
+        for mask_sums in sums:
+            remaining = iter(mask_sums)
+            counts.append(
+                [next(remaining) if stop > start else 0 for start, stop in segments]
+            )
+        return counts
+    counts = []
+    for mask in masks:
+        values = mask_values(mask)
+        counts.append(
+            [
+                sum(values[start:stop])
+                for start, stop in zip(offsets, offsets[1:])
+            ]
+        )
+    return counts
 
 
 def count_notnull(column: Column) -> int:
     """Number of non-NULL values (O(1) for typed arrays — no NULLs)."""
     if _is_array(column):
         return len(column)
-    return sum(1 for value in column if value is not None)
+    return len(column) - column.count(None)
 
 
 # --- predicate kernels ---------------------------------------------------

@@ -14,12 +14,13 @@ concurrency).
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from repro.common.errors import ServiceError
 from repro.service.protocol import (
     QueryRequest,
     QueryResponse,
+    bad_request,
     decode_message,
     encode_message,
 )
@@ -33,7 +34,19 @@ class InProcessClient:
     def __init__(self, service: QueryService) -> None:
         self.service = service
 
-    async def query(self, request: QueryRequest) -> QueryResponse:
+    async def query(
+        self, request: QueryRequest | Mapping[str, Any]
+    ) -> QueryResponse:
+        """Serve one request.
+
+        A wire-shaped mapping is decoded first; one that does not decode
+        answers ``BAD_REQUEST``, exactly as the TCP server would.
+        """
+        if not isinstance(request, QueryRequest):
+            try:
+                request = QueryRequest.from_dict(request)
+            except ServiceError as exc:
+                return bad_request(request, str(exc))
         return await self.service.handle(request)
 
     async def stats(self) -> dict[str, Any]:

@@ -21,8 +21,9 @@ Responses echo the request's ``id`` and carry either the result payload
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.common.errors import ServiceError
 from repro.optimizer.hints import PlanHint
@@ -48,6 +49,55 @@ ERROR_CODES = (
 )
 
 _EXEC_MODES = ("row", "batch", "columnar")
+
+
+def _is_flag(value: Any) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_optional_flag(value: Any) -> bool:
+    return value is None or isinstance(value, bool)
+
+
+def _is_deadline(value: Any) -> bool:
+    """``None`` or a finite, positive number (``bool`` is not a number)."""
+    if value is None:
+        return True
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a float budget
+        return False
+    return math.isfinite(value) and value > 0
+
+
+#: Every query-request field with its check and what it must be.  JSON
+#: decodes to loosely typed values, so a wire payload's ``"no"`` or
+#: ``NaN`` must be refused here rather than read as truthy or compared.
+_QUERY_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "sql": (
+        lambda value: isinstance(value, str) and bool(value.strip()),
+        "a non-empty 'sql' string",
+    ),
+    "request_id": (lambda value: isinstance(value, str), "a string 'request_id'"),
+    "exec_mode": (
+        lambda value: isinstance(value, str) and value in _EXEC_MODES,
+        f"an 'exec_mode' of {'|'.join(_EXEC_MODES)}",
+    ),
+    "use_feedback": (_is_flag, "a boolean 'use_feedback'"),
+    "remember": (_is_flag, "a boolean 'remember'"),
+    "monitor": (_is_optional_flag, "a boolean or null 'monitor'"),
+    "hint": (
+        lambda value: value is None or isinstance(value, dict),
+        "an object or null 'hint'",
+    ),
+    "reopt": (_is_flag, "a boolean 'reopt'"),
+    "deadline_ms": (
+        _is_deadline,
+        "a finite positive number or null 'deadline_ms'",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -79,17 +129,12 @@ class QueryRequest:
     deadline_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.sql, str) or not self.sql.strip():
-            raise ServiceError("query request needs a non-empty 'sql' string")
-        if self.exec_mode not in _EXEC_MODES:
-            raise ServiceError(
-                f"unknown exec_mode {self.exec_mode!r}; expected "
-                f"{'|'.join(_EXEC_MODES)}"
-            )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ServiceError(
-                f"deadline_ms must be positive, got {self.deadline_ms}"
-            )
+        for name, (valid, expected) in _QUERY_FIELDS.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ServiceError(
+                    f"query request needs {expected}, got {value!r}"
+                )
 
     def plan_hint(self) -> Optional[PlanHint]:
         """Materialize the hint dict (validates the kind)."""
@@ -106,26 +151,26 @@ class QueryRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "QueryRequest":
+        if not isinstance(payload, Mapping):
+            raise ServiceError(
+                f"query request must be an object, got {type(payload).__name__}"
+            )
         fields = dict(payload)
         fields.pop("kind", None)
-        unknown = set(fields) - {
-            "sql",
-            "request_id",
-            "exec_mode",
-            "use_feedback",
-            "remember",
-            "monitor",
-            "hint",
-            "reopt",
-            "deadline_ms",
-        }
+        unknown = set(fields) - set(_QUERY_FIELDS)
         if unknown:
             raise ServiceError(
                 f"unknown query request field(s) {sorted(unknown)}"
             )
         if "sql" not in fields:
             raise ServiceError("query request needs a non-empty 'sql' string")
-        return cls(**fields)
+        try:
+            return cls(**fields)
+        except TypeError as exc:
+            # Decoding answers only typed errors: every decode path (TCP
+            # server, in-process client, worker) maps ServiceError to
+            # BAD_REQUEST, never a bare TypeError.
+            raise ServiceError(f"malformed query request: {exc}") from exc
 
 
 @dataclass
@@ -192,6 +237,13 @@ class QueryResponse:
             request_id=request_id, status="error", error_code=code,
             error=message,
         )
+
+
+def bad_request(payload: Any, message: str) -> QueryResponse:
+    """The ``BAD_REQUEST`` answer to a payload that did not decode,
+    echoing its ``request_id`` when it has a usable one."""
+    request_id = payload.get("request_id", "") if isinstance(payload, Mapping) else ""
+    return QueryResponse.failure(str(request_id), BAD_REQUEST, message)
 
 
 def encode_message(payload: Mapping[str, Any]) -> bytes:

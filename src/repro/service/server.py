@@ -18,6 +18,7 @@ from repro.service.protocol import (
     BAD_REQUEST,
     QueryRequest,
     QueryResponse,
+    bad_request,
     decode_message,
     encode_message,
 )
@@ -107,28 +108,19 @@ class QueryServer:
         try:
             payload = decode_message(line)
         except ServiceError as exc:
-            return QueryResponse.failure("", BAD_REQUEST, str(exc)).to_dict()
+            return bad_request(None, str(exc)).to_dict()
         kind = payload.get("kind", "query")
         if kind == "stats":
             return await self.service.stats()
         if kind != "query":
-            return QueryResponse.failure(
-                str(payload.get("request_id", "")),
-                BAD_REQUEST,
+            return bad_request(
+                payload,
                 f"unknown message kind {kind!r}; expected 'query' or 'stats'",
             ).to_dict()
         try:
             request = QueryRequest.from_dict(payload)
         except ServiceError as exc:
-            return QueryResponse.failure(
-                str(payload.get("request_id", "")), BAD_REQUEST, str(exc)
-            ).to_dict()
-        except TypeError as exc:
-            return QueryResponse.failure(
-                str(payload.get("request_id", "")),
-                BAD_REQUEST,
-                f"malformed query request: {exc}",
-            ).to_dict()
+            return bad_request(payload, str(exc)).to_dict()
         response = await self.service.handle(request)
         return response.to_dict()
 

@@ -149,6 +149,41 @@ class BTreeIndex:
             return key
         return (key,)
 
+    def entry_span(
+        self,
+        low: Optional[Any] = None,
+        high: Optional[Any] = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> tuple[int, int]:
+        """Leaf-entry positions ``[start, stop)`` of a range seek (no charge).
+
+        A partial (prefix) key bound on a composite index is supported by
+        passing a shorter tuple; comparison semantics follow Python tuple
+        ordering, which matches B-tree prefix-range behaviour for
+        inclusive-low / exclusive-high prefix bounds.  The upper bound
+        compares only the provided prefix length of each key, and is
+        found by bisection too: key prefixes are non-decreasing in leaf
+        order.
+        """
+        keys = self._keys
+        if low is None:
+            start = 0
+        else:
+            low_key = self._normalize(low)
+            start = (
+                bisect.bisect_left(keys, low_key)
+                if low_inclusive
+                else bisect.bisect_right(keys, low_key)
+            )
+        if high is None:
+            return start, len(keys)
+        high_key = self._normalize(high)
+        width = len(high_key)
+        find = bisect.bisect_right if high_inclusive else bisect.bisect_left
+        stop = find(keys, high_key, lo=start, key=lambda key: key[:width])
+        return start, stop
+
     def seek_range(
         self,
         io: IOContext,
@@ -157,46 +192,29 @@ class BTreeIndex:
         low_inclusive: bool = True,
         high_inclusive: bool = True,
     ) -> Iterator[tuple[tuple, RID, tuple]]:
-        """Yield ``(key, rid, payload)`` for keys within the range, in key
-        order, charging ``io`` index-page I/O and per-entry CPU as it goes.
-
-        A partial (prefix) key bound on a composite index is supported by
-        passing a shorter tuple; comparison semantics follow Python tuple
-        ordering, which matches B-tree prefix-range behaviour for
-        inclusive-low / exclusive-high prefix bounds.
-        """
+        """Yield ``(key, rid, payload)`` for keys within the range (see
+        :meth:`entry_span`), in key order, charging ``io`` index-page I/O
+        and per-entry CPU as it goes."""
         self._require_built()
         # Root-to-leaf descent: non-leaf levels are assumed cached, so the
         # traversal costs CPU, charged once per seek.
         io.charge_index_descent(1)
-        if low is None:
-            start = 0
-        else:
-            low_key = self._normalize(low)
-            start = (
-                bisect.bisect_left(self._keys, low_key)
-                if low_inclusive
-                else bisect.bisect_right(self._keys, low_key)
+        start, stop = self.entry_span(low, high, low_inclusive, high_inclusive)
+        entries = self._entries
+        charge_entry = io.charge_index_entries
+        run_start = start
+        while run_start < stop:
+            # One leaf read per run of entries on the same leaf: the first
+            # leaf is a random read, the ones after it are read in order.
+            leaf = self._leaf_page_of(run_start)
+            run_stop = min(stop, (int(leaf) + 1) * self.entries_per_page)
+            self.buffer_pool.access(
+                self.file_id, leaf, io, sequential=run_start > start
             )
-        previous_leaf: Optional[PageId] = None
-        high_key = None if high is None else self._normalize(high)
-        for index in range(start, len(self._entries)):
-            key, rid, payload = self._entries[index]
-            if high_key is not None:
-                # For prefix bounds compare only the provided prefix length.
-                head = key[: len(high_key)]
-                if high_inclusive and head > high_key:
-                    return
-                if not high_inclusive and head >= high_key:
-                    return
-            leaf = self._leaf_page_of(index)
-            if leaf != previous_leaf:
-                self.buffer_pool.access(
-                    self.file_id, leaf, io, sequential=previous_leaf is not None
-                )
-                previous_leaf = leaf
-            io.charge_index_entries(1)
-            yield key, rid, payload
+            for index in range(run_start, run_stop):
+                charge_entry(1)
+                yield entries[index]
+            run_start = run_stop
 
     def seek_equal(self, io: IOContext, key: Any) -> Iterator[tuple[tuple, RID, tuple]]:
         """All entries with exactly this (possibly prefix) key."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.common.errors import BufferPoolError
 from repro.common.types import FileId, PageId
@@ -115,6 +116,22 @@ class BufferPool:
                 else:
                     self.stats.physical_random += 1
             return hit
+
+    def reader(
+        self, file_id: FileId, io: IOContext, sequential: bool
+    ) -> Callable[[PageId], bool]:
+        """:meth:`access` with the file, context and read kind bound.
+
+        For loops that read many pages of one file: an isolated
+        context's private frame set is resolved once, up front, so each
+        read is one :meth:`_touch`.  Charges, counters and LRU updates
+        are exactly those of :meth:`access`.
+        """
+        if not io.isolated:
+            return lambda page_id: self.access(file_id, page_id, io, sequential)
+        frames = io.private_frames()
+        touch = self._touch
+        return lambda page_id: touch(frames, (file_id, page_id), io, sequential)
 
     def _touch(
         self,

@@ -18,13 +18,13 @@ identical to chasing clustering keys).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.common.errors import StorageError
-from repro.common.types import RID, FileId, PageId
+from repro.common.types import FileId, PageId
 from repro.storage.accounting import IOContext
 from repro.storage.buffer import BufferPool
-from repro.storage.heap import DataFile
+from repro.storage.heap import ColumnChunk, DataFile, group_column_spans
 
 
 class ClusteredFile(DataFile):
@@ -185,22 +185,26 @@ class ClusteredFile(DataFile):
             if matched:
                 yield page_id, matched
 
-    def seek_range_columns(
+    def seek_range_chunks(
         self,
-        io: IOContext,
         low: Optional[tuple],
         high: Optional[tuple],
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Iterator[tuple[PageId, Any, int]]:
-        """Columnar form of :meth:`seek_range_pages`: ``(page_id, columns, n)``.
+        low_inclusive: bool,
+        high_inclusive: bool,
+        rows_per_chunk: int,
+    ) -> Iterator[ColumnChunk]:
+        """Columnar form of :meth:`seek_range_pages`, in multi-page chunks.
 
-        Page charging, page order, and the stop-at-first-row-past-high
-        behaviour are identical to :meth:`seek_range_pages`.  Interior
-        pages (fence keys entirely inside the range — the common case)
-        hand out zero-copy views of the file-level column cache; only the
-        at-most-two boundary pages inspect row keys to find the in-range
-        slice, which is contiguous because rows are packed in key order.
+        The chunks list the pages :meth:`seek_range_pages` reads, in the
+        same order, each with its in-range row span: interior pages
+        (fence keys entirely inside the range — the common case) span the
+        whole page, and only the at-most-two boundary pages inspect row
+        keys to find their in-range slice, which is contiguous because
+        rows are packed in key order.  The last page read may hold no
+        in-range row at all (the scan reads it only to find the range
+        ended); it is listed with an empty span.  Nothing is charged
+        here: the caller reads each page (:meth:`page_reader`) as it
+        commits it.
         """
         self._require_loaded()
 
@@ -222,36 +226,31 @@ class ClusteredFile(DataFile):
                 else self.first_page_with_key_gt(low)
             )
         columns = self.file_columns()
+        page_offsets = columns.page_offsets
         key_of = self.key_of
-        for page_id, page in self.scan_pages(io, start_page=start):
-            num_rows = page.num_rows
-            if not past_high(self._page_high_keys[page_id]):
-                if not below_low(self._page_low_keys[page_id]):
-                    # Whole page in range: zero-copy hand-off.
-                    yield page_id, columns.page_slice(page_id), num_rows
+
+        def spans() -> Iterator[tuple[int, int, int]]:
+            for page_id in range(start, len(self._pages)):
+                offset = page_offsets[page_id]
+                num_rows = self._pages[page_id].num_rows
+                hit_high = past_high(self._page_high_keys[page_id])
+                if not hit_high and not below_low(self._page_low_keys[page_id]):
+                    yield page_id, offset, offset + num_rows
                     continue
+                rows = self._pages[page_id].rows_list()
+                start_slot = 0
+                while start_slot < num_rows and below_low(key_of(rows[start_slot])):
+                    start_slot += 1
                 stop_slot = num_rows
-                hit_high = False
-            else:
-                stop_slot = None  # type: ignore[assignment]
-                hit_high = True
-            rows = page.rows_list()
-            start_slot = 0
-            while start_slot < num_rows and below_low(key_of(rows[start_slot])):
-                start_slot += 1
-            if stop_slot is None:
-                stop_slot = start_slot
-                while stop_slot < num_rows and not past_high(key_of(rows[stop_slot])):
-                    stop_slot += 1
-            if stop_slot > start_slot:
-                offset = columns.page_offset(page_id)
-                yield (
-                    page_id,
-                    columns.slice_rows(offset + start_slot, offset + stop_slot),
-                    stop_slot - start_slot,
-                )
-            if hit_high:
-                return
+                if hit_high:
+                    stop_slot = start_slot
+                    while stop_slot < num_rows and not past_high(key_of(rows[stop_slot])):
+                        stop_slot += 1
+                yield page_id, offset + start_slot, offset + stop_slot
+                if hit_high:
+                    return
+
+        return group_column_spans(columns, spans(), rows_per_chunk)
 
     def fetch_by_key(self, io: IOContext, key: tuple) -> Iterator[tuple[PageId, tuple]]:
         """Random-access fetch of all rows with the exact clustering key.

@@ -11,7 +11,7 @@ Index Seek vs. Table Scan decision.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.common.errors import StorageError
 from repro.common.types import RID, FileId, PageId
@@ -34,7 +34,7 @@ class FileColumns:
     against the append-only row count and the active vector backend.
     """
 
-    __slots__ = ("backend", "num_rows", "_pages", "_offsets", "_columns")
+    __slots__ = ("backend", "num_rows", "_pages", "page_offsets", "_columns")
 
     def __init__(self, pages: list[Page], backend: str) -> None:
         self.backend = backend
@@ -42,7 +42,8 @@ class FileColumns:
         for page in pages:
             offsets.append(offsets[-1] + page.num_rows)
         self._pages = pages
-        self._offsets = offsets
+        #: Row offset of every page's first row, plus the file's row count.
+        self.page_offsets = offsets
         self.num_rows = offsets[-1]
         width = len(pages[0].rows_list()[0]) if self.num_rows else 0
         self._columns: list = [None] * width
@@ -64,19 +65,61 @@ class FileColumns:
             self._columns[position] = column
         return column
 
-    def page_offset(self, page_id: int) -> int:
-        """Row offset of ``page_id``'s first row within the file."""
-        return self._offsets[page_id]
-
-    def page_slice(self, page_id: int) -> "Any":
-        """One page's rows as a zero-copy columns view."""
-        return self.slice_rows(self._offsets[page_id], self._offsets[page_id + 1])
-
     def slice_rows(self, start: int, stop: int) -> "Any":
         """An arbitrary contiguous row range as a zero-copy columns view."""
         from repro.exec import vector
 
         return vector.SlicedColumns(self, start, stop)
+
+
+class ColumnChunk(NamedTuple):
+    """A run of consecutively scanned pages' rows as one column span.
+
+    ``columns`` is a zero-copy view of the run's rows.  ``page_ids`` are
+    the pages the scan reads for the run, in scan order, and page
+    ``page_ids[i]`` contributes rows ``offsets[i]:offsets[i + 1]`` of the
+    view — possibly none, for a page a range seek reads only to find that
+    the range has ended.  Building a chunk charges nothing: the scan
+    reads each page (:meth:`DataFile.page_reader`) when it commits it.
+    """
+
+    columns: Any
+    page_ids: list[int]
+    offsets: list[int]
+
+
+def group_column_spans(
+    columns: FileColumns,
+    spans: Iterable[tuple[int, int, int]],
+    rows_per_chunk: int,
+) -> Iterator[ColumnChunk]:
+    """Group ``(page_id, first_row, stop_row)`` file-row spans into chunks.
+
+    The spans must be contiguous in the file (each starts where the
+    previous one stopped, bar empty ones).  A chunk closes once it holds
+    ``rows_per_chunk`` rows or more — the granularity at which one
+    whole-vector kernel call amortizes NumPy dispatch, which 73-row pages
+    cannot.
+    """
+    page_ids: list[int] = []
+    offsets = [0]
+    first_row = 0
+    for page_id, start, stop in spans:
+        if not page_ids:
+            first_row = start
+        page_ids.append(page_id)
+        offsets.append(offsets[-1] + stop - start)
+        if offsets[-1] >= rows_per_chunk:
+            yield ColumnChunk(
+                columns.slice_rows(first_row, first_row + offsets[-1]),
+                page_ids,
+                offsets,
+            )
+            page_ids, offsets = [], [0]
+    if page_ids:
+        yield ColumnChunk(
+            columns.slice_rows(first_row, first_row + offsets[-1]), page_ids, offsets
+        )
 
 
 class DataFile:
@@ -99,6 +142,7 @@ class DataFile:
         full_capacity = rows_per_page(row_width_bytes)
         self.page_capacity = max(1, int(full_capacity * fill_factor))
         self._pages: list[Page] = []
+        self._num_rows = 0
         self._file_columns: Optional[FileColumns] = None
 
     # ------------------------------------------------------------------
@@ -110,6 +154,7 @@ class DataFile:
             self._pages.append(Page(PageId(len(self._pages)), self.page_capacity))
         page = self._pages[-1]
         slot = page.append(row)
+        self._num_rows += 1
         return RID(page.page_id, slot)
 
     def bulk_append(self, rows: Iterator[Sequence[Any]]) -> list[RID]:
@@ -125,7 +170,7 @@ class DataFile:
 
     @property
     def num_rows(self) -> int:
-        return sum(p.num_rows for p in self._pages)
+        return self._num_rows
 
     def page(self, page_id: PageId) -> Page:
         """Direct page access *without* I/O accounting (internal/tests)."""
@@ -147,6 +192,36 @@ class DataFile:
         self.buffer_pool.access(self.file_id, rid.page_id, io, sequential=False)
         return rid.page_id, page.get(rid.slot)
 
+    def fetch_chunks(
+        self, io: IOContext, rids: Iterable[RID], rows_per_chunk: int
+    ) -> Iterator[tuple[list[PageId], list[int]]]:
+        """Columnar form of :meth:`fetch` over a RID stream.
+
+        Reads each RID's page exactly as :meth:`fetch` would, in order,
+        and yields ``(page_ids, row_positions)`` per ``rows_per_chunk``
+        rows (the last chunk may be shorter): the rows' pages and their
+        positions in :meth:`file_columns`, for gathering column vectors.
+        """
+        read_page = self.buffer_pool.reader(self.file_id, io, sequential=False)
+        page_offsets = self.file_columns().page_offsets
+        page_ids: list[PageId] = []
+        positions: list[int] = []
+        for rid in rids:
+            read_page(rid.page_id)
+            page_ids.append(rid.page_id)
+            positions.append(page_offsets[rid.page_id] + rid.slot)
+            if len(page_ids) >= rows_per_chunk:
+                yield page_ids, positions
+                page_ids, positions = [], []
+        if page_ids:
+            yield page_ids, positions
+
+    def page_reader(self, io: IOContext) -> Callable[[PageId], bool]:
+        """A page reader for scans: each call is one sequential
+        (readahead) page read charged to ``io`` (see
+        :meth:`~repro.storage.buffer.BufferPool.reader`)."""
+        return self.buffer_pool.reader(self.file_id, io, sequential=True)
+
     def scan_pages(
         self, io: IOContext, start_page: int = 0, end_page: Optional[int] = None
     ) -> Iterator[tuple[PageId, Page]]:
@@ -156,9 +231,10 @@ class DataFile:
         seeks); ``end_page`` is exclusive and defaults to the file end.
         """
         stop = len(self._pages) if end_page is None else min(end_page, len(self._pages))
+        read_page = self.page_reader(io)
         for page_id in range(start_page, stop):
             page = self._pages[page_id]
-            self.buffer_pool.access(self.file_id, page.page_id, io, sequential=True)
+            read_page(page.page_id)
             yield page.page_id, page
 
     def file_columns(self) -> FileColumns:
@@ -185,64 +261,22 @@ class DataFile:
         self._file_columns = cached
         return cached
 
-    def scan_page_columns(
-        self, io: IOContext, start_page: int = 0, end_page: Optional[int] = None
-    ) -> Iterator[tuple[PageId, Any, int]]:
-        """Columnar scan: ``(page_id, columns_view, num_rows)`` per page.
+    def column_chunks(self, rows_per_chunk: int) -> Iterator[ColumnChunk]:
+        """Columnar full scan: every page, in allocation order, in chunks.
 
-        Same page order and sequential I/O charging as :meth:`scan_pages`;
-        the columns are zero-copy per-page views of the file-level cache
-        (:meth:`file_columns`), so repeated scans of an immutable table
-        pay the row->column conversion once per touched column.
+        Page order is that of :meth:`scan_pages`; the caller reads each
+        page (:meth:`page_reader`) as it processes it.  The columns are
+        zero-copy views of the file-level cache (:meth:`file_columns`), so
+        repeated scans of an immutable table pay the row->column
+        conversion once per touched column.
         """
         columns = self.file_columns()
-        for page_id, page in self.scan_pages(io, start_page, end_page):
-            yield page_id, columns.page_slice(page_id), page.num_rows
-
-    def scan_column_chunks(
-        self,
-        io: IOContext,
-        rows_per_chunk: int,
-        start_page: int = 0,
-        end_page: Optional[int] = None,
-    ) -> Iterator[tuple[PageId, int, Any, int]]:
-        """Columnar scan in multi-page chunks:
-        ``(first_page_id, page_count, columns_view, num_rows)``.
-
-        Groups contiguous pages until a chunk reaches ``rows_per_chunk``
-        rows, so one whole-vector kernel evaluation covers many simulated
-        pages — the granularity at which NumPy dispatch overhead
-        amortizes.  Page order and per-page sequential I/O charging are
-        exactly those of :meth:`scan_pages`; only callers whose other
-        accounting is additive across pages (unmonitored scans) may use
-        chunks, since monitors are page-granular.
-        """
-        columns = self.file_columns()
-        chunk_start: Optional[PageId] = None
-        chunk_rows = 0
-        chunk_pages = 0
-        for page_id, page in self.scan_pages(io, start_page, end_page):
-            if chunk_start is None:
-                chunk_start = page_id
-            chunk_rows += page.num_rows
-            chunk_pages += 1
-            if chunk_rows >= rows_per_chunk:
-                offset = columns.page_offset(chunk_start)
-                yield (
-                    chunk_start,
-                    chunk_pages,
-                    columns.slice_rows(offset, offset + chunk_rows),
-                    chunk_rows,
-                )
-                chunk_start, chunk_rows, chunk_pages = None, 0, 0
-        if chunk_start is not None:
-            offset = columns.page_offset(chunk_start)
-            yield (
-                chunk_start,
-                chunk_pages,
-                columns.slice_rows(offset, offset + chunk_rows),
-                chunk_rows,
-            )
+        offsets = columns.page_offsets
+        spans = (
+            (page_id, offsets[page_id], offsets[page_id + 1])
+            for page_id in range(len(self._pages))
+        )
+        return group_column_spans(columns, spans, rows_per_chunk)
 
     def scan_rows(self, io: IOContext) -> Iterator[tuple[PageId, int, tuple]]:
         """Full scan yielding ``(page_id, slot, row)`` in grouped page order.

@@ -10,6 +10,7 @@ from repro.service.protocol import (
     ERROR_CODES,
     QueryRequest,
     QueryResponse,
+    bad_request,
     decode_message,
     encode_message,
 )
@@ -75,6 +76,67 @@ class TestQueryRequest:
         hint = request.plan_hint()
         assert hint is not None and hint.kind == "index_seek"
         assert QueryRequest(sql="SELECT count(*) FROM t").plan_hint() is None
+
+
+class TestFieldTypes:
+    """Loosely typed wire values are refused, never coerced."""
+
+    SQL = "SELECT count(*) FROM t"
+
+    def test_string_flag_is_not_truthy(self):
+        # "no" used to be truthy, so the query ran *with* feedback.
+        with pytest.raises(ServiceError, match="boolean 'use_feedback'"):
+            QueryRequest.from_dict({"sql": self.SQL, "use_feedback": "no"})
+
+    def test_nan_deadline_rejected(self):
+        # NaN used to pass the `<= 0` check and answer DEADLINE_EXCEEDED.
+        with pytest.raises(ServiceError, match="deadline_ms"):
+            QueryRequest.from_dict({"sql": self.SQL, "deadline_ms": float("nan")})
+        with pytest.raises(ServiceError, match="deadline_ms"):
+            QueryRequest.from_dict({"sql": self.SQL, "deadline_ms": float("inf")})
+
+    def test_bool_deadline_rejected(self):
+        # true used to become a 1 ms deadline.
+        with pytest.raises(ServiceError, match="deadline_ms"):
+            QueryRequest.from_dict({"sql": self.SQL, "deadline_ms": True})
+
+    def test_string_reopt_rejected(self):
+        with pytest.raises(ServiceError, match="boolean 'reopt'"):
+            QueryRequest.from_dict({"sql": self.SQL, "reopt": "x"})
+
+    def test_string_and_huge_deadlines_rejected(self):
+        # A string used to raise a bare TypeError from the comparison.
+        for deadline in ("5", 10**400, [5]):
+            with pytest.raises(ServiceError, match="deadline_ms"):
+                QueryRequest.from_dict({"sql": self.SQL, "deadline_ms": deadline})
+
+    def test_other_field_types_rejected(self):
+        for name, value in (
+            ("request_id", 7),
+            ("remember", 1),
+            ("monitor", "yes"),
+            ("hint", "table_scan"),
+            ("exec_mode", ["row"]),
+            ("sql", 42),
+        ):
+            with pytest.raises(ServiceError, match=repr(name)):
+                QueryRequest.from_dict({"sql": self.SQL, name: value})
+
+    def test_numeric_deadlines_and_null_monitor_accepted(self):
+        for deadline in (1, 2.5, None):
+            request = QueryRequest.from_dict(
+                {"sql": self.SQL, "deadline_ms": deadline, "monitor": None}
+            )
+            assert request.deadline_ms == deadline
+
+    def test_non_object_payload_rejected(self):
+        with pytest.raises(ServiceError, match="must be an object"):
+            QueryRequest.from_dict(["sql"])  # type: ignore[arg-type]
+
+    def test_bad_request_echoes_usable_request_id(self):
+        response = bad_request({"request_id": "r9"}, "nope")
+        assert (response.request_id, response.error_code) == ("r9", BAD_REQUEST)
+        assert bad_request(["junk"], "nope").request_id == ""
 
 
 class TestQueryResponse:

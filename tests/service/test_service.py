@@ -24,6 +24,7 @@ from repro.service import (
     QueryRequest,
     QueryService,
 )
+from repro.service.client import InProcessClient
 
 SCAN_SQL = "SELECT count(padding) FROM t WHERE c2 < 900"
 JOIN_SQL = (
@@ -114,6 +115,27 @@ class TestErrorMapping:
             QueryRequest(sql="SELECT count(z) FROM ghost WHERE z < 5"),
         )
         assert response.error_code == QUERY_ERROR
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"use_feedback": "no"},
+            {"deadline_ms": float("nan")},
+            {"deadline_ms": True},
+            {"reopt": "x"},
+            {"deadline_ms": "5"},
+        ],
+    )
+    def test_mistyped_payload_is_bad_request_in_process(self, synthetic_db, field):
+        async def scenario():
+            service = QueryService(Engine(synthetic_db))
+            payload = {"sql": SCAN_SQL, "request_id": "r1", **field}
+            return service, await InProcessClient(service).query(payload)
+
+        service, response = asyncio.run(scenario())
+        assert response.error_code == BAD_REQUEST
+        assert response.request_id == "r1"
+        assert service.telemetry.leaked_slots() is None
 
     def test_bad_hint_is_bad_request(self, synthetic_db):
         _, response = serve_one(

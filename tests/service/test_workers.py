@@ -26,6 +26,7 @@ from repro.harness.loadgen import (
 )
 from repro.harness.reporting import format_worker_table
 from repro.service import (
+    BAD_REQUEST,
     QueryRequest,
     QueryService,
     WorkerPool,
@@ -269,3 +270,27 @@ class TestPoolLifecycle:
     def test_rejects_malformed_factory_path(self):
         with pytest.raises(WorkerError):
             WorkerSpec("not-a-dotted-path", {})
+
+
+class TestWorkerDecodePath:
+    """A mistyped request envelope answers BAD_REQUEST from the worker,
+    exactly as the in-process and TCP paths do (no bare TypeError)."""
+
+    @pytest.mark.parametrize(
+        "request_payload",
+        [
+            {"sql": "SELECT count(padding) FROM t", "deadline_ms": "5"},
+            {"sql": "SELECT count(padding) FROM t", "use_feedback": "no"},
+            {"sql": "SELECT count(padding) FROM t", "deadline_ms": float("nan")},
+            ["not", "an", "object"],
+        ],
+    )
+    def test_mistyped_request_is_bad_request(self, worker_db, request_payload):
+        from repro.service.worker_main import _CurrentQuery, _serve_query
+
+        reply = _serve_query(
+            Engine(worker_db), {"seq": 3, "request": request_payload}, _CurrentQuery()
+        )
+        assert reply["status"] == "error"
+        assert reply["code"] == BAD_REQUEST
+        assert reply["seq"] == 3
