@@ -460,40 +460,53 @@ class ScanMonitorBundle:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def progress(self) -> list[MonitorProgress]:
-        """Streaming counter values so far, safe to read mid-page.
+    def satisfied_counts(self) -> list[float]:
+        """Each request's satisfied-page count over the completed pages,
+        scaled by the sampling fraction where the mechanism samples —
+        in :meth:`progress` order, and the values it reports.
 
-        The current page's un-folded flag is deliberately excluded: the
-        returned counts cover only completed pages, so they are honest
-        lower bounds whatever program point the caller polls from.
+        The current page's un-folded flag is deliberately excluded, so
+        the counts are honest lower bounds whatever program point the
+        caller polls from.  The regret watchdog reads these at every
+        checkpoint without building :class:`MonitorProgress` objects.
         """
         fraction = self.sampler.fraction if self.sampler is not None else 1.0
+        counts = [
+            float(entry.satisfied_pages)
+            if entry.exact
+            else entry.satisfied_pages / fraction
+            for entry in self._expression_entries
+        ]
+        counts.extend(
+            entry.satisfied_pages / fraction for entry in self._bitvector_entries
+        )
+        return counts
+
+    def progress(self) -> list[MonitorProgress]:
+        """Streaming counter values so far (:meth:`satisfied_counts`),
+        safe to read mid-page."""
+        fraction = self.sampler.fraction if self.sampler is not None else 1.0
+        counts = iter(self.satisfied_counts())
         snapshot: list[MonitorProgress] = []
         for entry in self._expression_entries:
             if entry.exact:
-                snapshot.append(
-                    MonitorProgress(
-                        request=entry.request,
-                        mechanism=Mechanism.EXACT_SCAN_COUNT,
-                        satisfied_pages=float(entry.satisfied_pages),
-                        would_be_exact=True,
-                    )
-                )
+                mechanism, would_be_exact = Mechanism.EXACT_SCAN_COUNT, True
             else:
-                snapshot.append(
-                    MonitorProgress(
-                        request=entry.request,
-                        mechanism=Mechanism.DPSAMPLE,
-                        satisfied_pages=entry.satisfied_pages / fraction,
-                        would_be_exact=fraction >= 1.0,
-                    )
+                mechanism, would_be_exact = Mechanism.DPSAMPLE, fraction >= 1.0
+            snapshot.append(
+                MonitorProgress(
+                    request=entry.request,
+                    mechanism=mechanism,
+                    satisfied_pages=next(counts),
+                    would_be_exact=would_be_exact,
                 )
+            )
         for bv_entry in self._bitvector_entries:
             snapshot.append(
                 MonitorProgress(
                     request=bv_entry.request,
                     mechanism=Mechanism.BITVECTOR_DPSAMPLE,
-                    satisfied_pages=bv_entry.satisfied_pages / fraction,
+                    satisfied_pages=next(counts),
                     would_be_exact=False,
                 )
             )

@@ -5,7 +5,10 @@ locator, so the storage engine resolves each locator to a page — the page
 id stream the :class:`~repro.core.monitors.FetchMonitorBundle` feeds into
 linear counters (Fig. 3).  Grouped page access does **not** hold here
 (Fig. 2), which is exactly why probabilistic counting is used instead of
-the per-page flag counters of scan plans.
+the per-page flag counters of scan plans.  The row and list-batch drives
+fetch one RID at a time; the columnar drive fetches runs of the index's
+row locators (:meth:`~repro.storage.heap.DataFile.fetch_runs`), whose
+reads and charges are bit-identical to the per-RID loop.
 
 The residual predicate (terms not implied by the seek range) is evaluated
 on the fetched row inside the storage engine, in plan order with
@@ -15,7 +18,8 @@ short-circuiting; monitored expressions must be prefixes of that order
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.common.types import RID
 from repro.core.monitors import FetchMonitorBundle
@@ -24,28 +28,41 @@ from repro.exec.base import ExecutionContext, Operator
 from repro.exec.batch import RowBatch
 from repro.sql.evaluator import BoundConjunction
 from repro.sql.predicates import Conjunction
+from repro.storage.btree import BTreeIndex
 from repro.storage.table import Table
 
 
 class _FetchResidualMixin:
-    """Shared batch drive for operators that fetch rows then filter them."""
+    """Shared batch drives for operators that fetch rows then filter them."""
 
     table: Table
     residual: Conjunction
     bundle: Optional[FetchMonitorBundle]
     monitor_full_eval: bool
 
-    def _fetch(self, ctx: ExecutionContext, rids: Iterator[RID]) -> Iterator[RowBatch]:
-        """Batch drive over a RID stream: each RID's row is fetched (its
-        data page read) as the stream reaches it, so the index's leaf
+    def _fetch_rids(
+        self, ctx: ExecutionContext, rids: Iterable[RID]
+    ) -> Iterator[RowBatch]:
+        """List-batch drive over a RID stream: each RID's row is fetched
+        (its data page read) as the stream reaches it, so the index's leaf
         reads and the data-page reads interleave as in the row drive."""
         io = ctx.io
-        if ctx.vectorized:
-            data_file = self.table.data_file
-            return self._fetch_columnar(
-                ctx, data_file.fetch_chunks(io, rids, ctx.batch_rows)
-            )
         return self._fetch_batches(ctx, (self.table.fetch(io, rid) for rid in rids))
+
+    def _fetch_index_runs(
+        self, ctx: ExecutionContext, index: BTreeIndex, runs: Iterable[tuple[int, int]]
+    ) -> Iterator[RowBatch]:
+        """Columnar drive over index entry runs (:meth:`BTreeIndex.seek_runs`):
+        the run-level fetch kernel reads each run's data pages and charges
+        its entries (:meth:`~repro.storage.heap.DataFile.fetch_runs`)."""
+        data_file = self.table.data_file
+        locators = index.locators(data_file.file_columns())
+        return self._fetch_columnar(
+            ctx,
+            data_file.fetch_runs(
+                ctx.io, locators, runs, ctx.batch_rows, index_entries=True
+            ),
+        )
 
     def _fetch_batches(
         self, ctx: ExecutionContext, fetch_iter: Iterator[tuple[Any, tuple]]
@@ -99,12 +116,12 @@ class _FetchResidualMixin:
     def _fetch_columnar(
         self,
         ctx: ExecutionContext,
-        chunks: Iterator[tuple[list[Any], list[int]]],
+        chunks: Iterator[tuple[Sequence[int], Sequence[int]]],
     ) -> Iterator[RowBatch]:
         """Columnar drive over ``(page_ids, row_positions)`` fetch chunks.
 
         The storage layer has already read each chunk's pages in fetch
-        order (:meth:`~repro.storage.heap.DataFile.fetch_chunks`); the
+        order (:meth:`~repro.storage.heap.DataFile.fetch_runs`); the
         chunk's column vectors are gathered from the data file's column
         cache by row position, evaluated with whole-vector kernels, and
         the fetch bundle hashes the witnessing rows' page ids in one
@@ -209,26 +226,45 @@ class IndexSeekFetch(_FetchResidualMixin, Operator):
         self.stats.pages_touched = len(pages_seen)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        rids = (
-            rid
-            for _key, rid, _payload in self.index.seek_range(
-                ctx.io, self.low, self.high, self.low_inclusive, self.high_inclusive
-            )
-        )
-        yield from self._fetch(ctx, rids)
+        seek = (self.low, self.high, self.low_inclusive, self.high_inclusive)
+        if ctx.vectorized:
+            runs = self.index.seek_runs(ctx.io, *seek)
+            yield from self._fetch_index_runs(ctx, self.index, runs)
+        else:
+            entries = self.index.seek_range(ctx.io, *seek)
+            yield from self._fetch_rids(ctx, (rid for _key, rid, _payload in entries))
 
     def finalize(self, ctx: ExecutionContext) -> None:
         if self.bundle is not None:
             ctx.observations.extend(self.bundle.finish())
 
 
+def in_list_probe_key(values: Iterable[Any]) -> Callable[[Any], Any]:
+    """The sort key of the order an IN-list's values are probed in.
+
+    Ascending value, so successive probes move forward through the
+    index; ``repr`` when the values cannot be compared with each other.
+    Rows leave the seek in this order, so shard merges use it too.
+    """
+    try:
+        sorted(set(values))
+    except TypeError:
+        return repr
+    return _value
+
+
+def _value(value: Any) -> Any:
+    return value
+
+
 class IndexInListSeekFetch(_FetchResidualMixin, Operator):
     """IN-list seek: one equality probe per value, then fetch.
 
     The disjunctive equivalent of an Index Seek for ``col IN (v1..vk)``:
-    values are probed in sorted order (so leaf access stays monotone) and
-    every fetched row is guaranteed to satisfy the IN term, making the
-    term *guaranteed* for monitoring purposes, exactly like a seek range.
+    values are probed in ascending order (:func:`in_list_probe_key`, so
+    leaf access stays monotone) and every fetched row is guaranteed to
+    satisfy the IN term, making the term *guaranteed* for monitoring
+    purposes, exactly like a seek range.
     """
 
     engine_layer = "SE"
@@ -245,7 +281,7 @@ class IndexInListSeekFetch(_FetchResidualMixin, Operator):
         super().__init__()
         self.table = table
         self.index = table.index(index_name)
-        self.values = tuple(sorted(set(values), key=repr))
+        self.values = tuple(sorted(set(values), key=in_list_probe_key(values)))
         self.residual = residual
         self.bundle = bundle
         self.monitor_full_eval = monitor_full_eval
@@ -284,12 +320,21 @@ class IndexInListSeekFetch(_FetchResidualMixin, Operator):
         self.stats.pages_touched = len(pages_seen)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        rids = (
-            rid
-            for value in self.values
-            for _key, rid, _payload in self.index.seek_equal(ctx.io, value)
-        )
-        yield from self._fetch(ctx, rids)
+        io = ctx.io
+        index = self.index
+        if ctx.vectorized:
+            # One seek per value, each with its own descent, run lazily.
+            runs = chain.from_iterable(
+                index.seek_runs(io, value, value) for value in self.values
+            )
+            yield from self._fetch_index_runs(ctx, index, runs)
+        else:
+            rids = (
+                rid
+                for value in self.values
+                for _key, rid, _payload in index.seek_equal(io, value)
+            )
+            yield from self._fetch_rids(ctx, rids)
 
     def finalize(self, ctx: ExecutionContext) -> None:
         if self.bundle is not None:
@@ -396,7 +441,18 @@ class IndexIntersectionFetch(_FetchResidualMixin, Operator):
         self.stats.pages_touched = len(pages_seen)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowBatch]:
-        yield from self._fetch(ctx, iter(self._intersect_rids(ctx.io)))
+        rids = self._intersect_rids(ctx.io)
+        if not ctx.vectorized:
+            yield from self._fetch_rids(ctx, rids)
+            return
+        # The sorted RIDs are one locator run; their leaves were read by
+        # the seek legs.
+        data_file = self.table.data_file
+        locators = data_file.file_columns().locate(rids)
+        chunks = data_file.fetch_runs(
+            ctx.io, locators, [(0, len(rids))], ctx.batch_rows
+        )
+        yield from self._fetch_columnar(ctx, chunks)
 
     def finalize(self, ctx: ExecutionContext) -> None:
         if self.bundle is not None:

@@ -49,8 +49,10 @@ class WatchTarget:
     bundle: ScanMonitorBundle
     table_name: str
     total_pages: int
-    #: request key -> the DPC the optimizer planned this request under.
-    baselines: dict[str, float] = field(default_factory=dict)
+    #: ``(position, request key, baseline)`` per watched request: its
+    #: position in the bundle's :meth:`~ScanMonitorBundle.satisfied_counts`
+    #: and the DPC the optimizer planned it under.
+    watched: list[tuple[int, str, float]] = field(default_factory=list)
     #: Set when the scan was armed for prefix replay (resume).
     resume_key_column: Optional[str] = None
 
@@ -125,8 +127,9 @@ class RegretWatchdog:
                 table_name=table.name,
                 total_pages=table.num_pages,
             )
-            for progress in bundle.progress():
-                request = progress.request
+            requests = [progress.request for progress in bundle.progress()]
+            baselines: dict[str, float] = {}
+            for request in requests:
                 if not isinstance(request, AccessPathRequest):
                     continue  # join baselines need join cardinalities;
                     # bit-vector counters stay harvest-only.
@@ -136,7 +139,13 @@ class RegretWatchdog:
                 baseline, _source = self._pages.access_dpc(
                     request.table, request.expression, fetched
                 )
-                target.baselines[request.key()] = baseline
+                baselines[request.key()] = baseline
+            keys = [request.key() for request in requests]
+            target.watched = [
+                (position, key, baselines[key])
+                for position, key in enumerate(keys)
+                if key in baselines
+            ]
             if self.arm_resume:
                 self._arm_resume_tracking(operator, target)
             self.targets.append(target)
@@ -217,7 +226,7 @@ class RegretWatchdog:
         policy = self.policy
         worst: Optional[tuple[str, float, float, float, float]] = None
         for target in self.targets:
-            if not target.baselines:
+            if not target.watched:
                 continue
             pages_seen = target.pages_seen
             if pages_seen < policy.min_pages or target.total_pages == 0:
@@ -226,12 +235,9 @@ class RegretWatchdog:
             if progress < policy.min_progress_fraction:
                 continue
             scale = target.total_pages / pages_seen
-            for monitor_progress in target.bundle.progress():
-                key = monitor_progress.request.key()
-                baseline = target.baselines.get(key)
-                if baseline is None:
-                    continue
-                projected = monitor_progress.satisfied_pages * scale
+            counts = target.bundle.satisfied_counts()
+            for position, key, baseline in target.watched:
+                projected = counts[position] * scale
                 ratio = guarded_ratio(projected, baseline)
                 if ratio < policy.trip_ratio:
                     continue

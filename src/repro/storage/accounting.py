@@ -36,6 +36,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import TYPE_CHECKING, Optional
 
 from repro.storage.disk import DiskParameters
@@ -103,19 +106,24 @@ class IOContext:
             self._frames = OrderedDict()
         return self._frames
 
-    def record_pool_hit(self) -> None:
-        self.pool_hits += 1
+    def record_pool_hit(self, hits: int = 1) -> None:
+        self.pool_hits += hits
 
     def record_eviction(self) -> None:
         self.evictions += 1
 
     # -- I/O charges ----------------------------------------------------
+    # Page reads and index entries are charged one unit at a time on the
+    # per-row paths, and in bulk by the run-level fetch kernel
+    # (``BufferPool.read_run``, ``DataFile.fetch_runs``).  Their bulk
+    # charges therefore add the per-unit rate ``n`` times, left to right,
+    # which is bit-identical to ``n`` single charges; ``rate * n`` is not.
     def charge_random_read(self, pages: int = 1) -> None:
-        self.io_ms += self.params.random_read_ms * pages
+        self.io_ms = _fold(self.io_ms, self.params.random_read_ms, pages)
         self.random_reads += pages
 
     def charge_sequential_read(self, pages: int = 1) -> None:
-        self.io_ms += self.params.sequential_read_ms * pages
+        self.io_ms = _fold(self.io_ms, self.params.sequential_read_ms, pages)
         self.sequential_reads += pages
 
     # -- CPU charges ----------------------------------------------------
@@ -132,7 +140,7 @@ class IOContext:
         self.cpu_ms += self.params.cpu_bitvector_probe_ms * probes
 
     def charge_index_entries(self, entries: int = 1) -> None:
-        self.cpu_ms += self.params.cpu_index_entry_ms * entries
+        self.cpu_ms = _fold(self.cpu_ms, self.params.cpu_index_entry_ms, entries)
 
     def charge_index_descent(self, descents: int = 1) -> None:
         self.cpu_ms += self.params.cpu_index_descent_ms * descents
@@ -146,3 +154,14 @@ class IOContext:
             f"IOContext({mode}, {self.elapsed_ms:.3f} ms, "
             f"{self.physical_reads} physical / {self.logical_reads} logical)"
         )
+
+
+def _fold(total: float, rate: float, units: int) -> float:
+    """``total`` plus ``rate`` added ``units`` times, left to right.
+
+    Not ``sum``: from Python 3.12 it compensates float rounding, so it
+    would not reproduce the per-unit additions either.
+    """
+    if units == 1:
+        return total + rate
+    return reduce(add, repeat(rate, units), total)

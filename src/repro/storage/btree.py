@@ -7,6 +7,11 @@ so index fan-out and leaf page counts are realistic; non-leaf levels are
 modelled implicitly (assumed cached, as in the Mackert–Lohman model), so a
 range seek charges one random read for the first leaf and sequential reads
 for subsequent leaves, plus a per-entry CPU charge.
+:meth:`BTreeIndex.seek_runs` is that I/O, one leaf at a time, and
+:meth:`BTreeIndex.seek_range` adds the per-entry loop for row-at-a-time
+callers; the columnar fetch instead reads the index's compact row
+locators (:meth:`BTreeIndex.locators`) one leaf run at a time
+(:meth:`~repro.storage.heap.DataFile.fetch_runs`).
 
 Entries for equal keys are stored in *insertion* order, which for our bulk
 loads is physical row order — this matches how SQL Server's uniquifier
@@ -20,7 +25,8 @@ produce those column values without touching the table (Section III-B's
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, Optional, Sequence
+from array import array
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
 from repro.common.errors import IndexError_
 from repro.common.types import RID, FileId, PageId
@@ -28,6 +34,9 @@ from repro.catalog.schema import IndexDef, TableSchema
 from repro.storage.accounting import IOContext
 from repro.storage.buffer import BufferPool
 from repro.storage.page import USABLE_PAGE_BYTES
+
+if TYPE_CHECKING:
+    from repro.storage.heap import FileColumns
 
 #: Simulated per-entry overhead (slot pointer + row locator).
 _ENTRY_OVERHEAD_BYTES = 9
@@ -64,6 +73,8 @@ class BTreeIndex:
         self._entries: list[tuple[tuple, RID, tuple]] = []
         self._keys: list[tuple] = []
         self._built = False
+        #: (data rows, entries, page ids, row positions): see :meth:`locators`.
+        self._locators: Optional[tuple[int, int, array, array]] = None
 
     @property
     def name(self) -> str:
@@ -184,6 +195,39 @@ class BTreeIndex:
         stop = find(keys, high_key, lo=start, key=lambda key: key[:width])
         return start, stop
 
+    def seek_runs(
+        self,
+        io: IOContext,
+        low: Optional[Any] = None,
+        high: Optional[Any] = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> Iterator[tuple[int, int]]:
+        """The index I/O of a range seek (see :meth:`entry_span`), one leaf
+        at a time.
+
+        Charges ``io`` the root-to-leaf descent, then reads the leaves of
+        the range in order — the first a random read, the ones after it
+        sequential — and yields each leaf's run ``[run_start, run_stop)``
+        of entry positions just after reading that leaf, so a consumer
+        that stops early has read only the leaves it reached.  Per-entry
+        CPU is the consumer's to charge, one entry at a time.
+        """
+        self._require_built()
+        # Root-to-leaf descent: non-leaf levels are assumed cached, so the
+        # traversal costs CPU, charged once per seek.
+        io.charge_index_descent(1)
+        start, stop = self.entry_span(low, high, low_inclusive, high_inclusive)
+        run_start = start
+        while run_start < stop:
+            leaf = self._leaf_page_of(run_start)
+            run_stop = min(stop, (int(leaf) + 1) * self.entries_per_page)
+            self.buffer_pool.access(
+                self.file_id, leaf, io, sequential=run_start > start
+            )
+            yield run_start, run_stop
+            run_start = run_stop
+
     def seek_range(
         self,
         io: IOContext,
@@ -194,27 +238,37 @@ class BTreeIndex:
     ) -> Iterator[tuple[tuple, RID, tuple]]:
         """Yield ``(key, rid, payload)`` for keys within the range (see
         :meth:`entry_span`), in key order, charging ``io`` index-page I/O
-        and per-entry CPU as it goes."""
-        self._require_built()
-        # Root-to-leaf descent: non-leaf levels are assumed cached, so the
-        # traversal costs CPU, charged once per seek.
-        io.charge_index_descent(1)
-        start, stop = self.entry_span(low, high, low_inclusive, high_inclusive)
+        (:meth:`seek_runs`) and per-entry CPU as it goes."""
         entries = self._entries
         charge_entry = io.charge_index_entries
-        run_start = start
-        while run_start < stop:
-            # One leaf read per run of entries on the same leaf: the first
-            # leaf is a random read, the ones after it are read in order.
-            leaf = self._leaf_page_of(run_start)
-            run_stop = min(stop, (int(leaf) + 1) * self.entries_per_page)
-            self.buffer_pool.access(
-                self.file_id, leaf, io, sequential=run_start > start
-            )
+        for run_start, run_stop in self.seek_runs(
+            io, low, high, low_inclusive, high_inclusive
+        ):
             for index in range(run_start, run_stop):
                 charge_entry(1)
                 yield entries[index]
-            run_start = run_stop
+
+    def locators(self, file_columns: "FileColumns") -> tuple[array, array]:
+        """Per-entry row locators in leaf order, as two compact arrays:
+        each entry's data page id and its row's position in
+        ``file_columns`` (the data file's column cache).
+
+        What :meth:`~repro.storage.heap.DataFile.fetch_runs` reads instead
+        of the entries' RIDs.  Cached against the snapshot's row count
+        and the entry count, which both only grow (files and indexes are
+        append-only), so an append rebuilds them on the next fetch.
+        """
+        cached = self._locators
+        if (
+            cached is not None
+            and cached[0] == file_columns.num_rows
+            and cached[1] == len(self._entries)
+        ):
+            return cached[2], cached[3]
+        entries = self._entries
+        pages, positions = file_columns.locate(entry[1] for entry in entries)
+        self._locators = (file_columns.num_rows, len(entries), pages, positions)
+        return pages, positions
 
     def seek_equal(self, io: IOContext, key: Any) -> Iterator[tuple[tuple, RID, tuple]]:
         """All entries with exactly this (possibly prefix) key."""

@@ -10,6 +10,9 @@ cold cache which ensures that effects due to buffering are eliminated"),
 which :meth:`reset` provides; within one query the pool still absorbs
 repeated fetches of the same hot page, exactly the effect that makes
 *distinct* page count (not fetch count) the right cost parameter.
+:meth:`BufferPool.read_run` is the run-level form the columnar index
+fetch uses: exactly one :meth:`~BufferPool.access` per page, but
+accounted once per run when the run cannot evict anything.
 
 The pool splits *state* from *accounting*: which pages are resident is
 genuinely shared (and guarded by a lock, so concurrent executions can
@@ -25,7 +28,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.common.errors import BufferPoolError
 from repro.common.types import FileId, PageId
@@ -116,6 +119,72 @@ class BufferPool:
                 else:
                     self.stats.physical_random += 1
             return hit
+
+    def read_run(
+        self,
+        file_id: FileId,
+        io: IOContext,
+        page_ids: Sequence[int],
+        sequential: bool = False,
+    ) -> None:
+        """Read ``page_ids`` of one file in order: exactly one
+        :meth:`access` per page, accounted per run.
+
+        When the run's new distinct pages fit in the free frames, nothing
+        can be evicted, so the per-access outcome is known up front: each
+        new distinct page is one physical read (its first access), every
+        other access a hit, and the LRU order ends with the run's pages
+        ordered by their last access.  That is what is charged and
+        replayed, once per distinct page instead of once per access; the
+        read charges add the per-page rate once per read, as single reads
+        do (see :class:`~repro.storage.accounting.IOContext`).  A run that
+        could evict takes the per-access path instead, where the victim
+        depends on the interleaving.
+        """
+        if io.isolated:
+            self._read_run(io.private_frames(), file_id, io, page_ids, sequential)
+            return
+        with self._lock:
+            hits = self._read_run(self._frames, file_id, io, page_ids, sequential)
+            stats = self.stats
+            misses = len(page_ids) - hits
+            stats.logical_reads += len(page_ids)
+            stats.physical_reads += misses
+            if sequential:
+                stats.physical_sequential += misses
+            else:
+                stats.physical_random += misses
+
+    def _read_run(
+        self,
+        frames: "OrderedDict[tuple[FileId, PageId], None]",
+        file_id: FileId,
+        io: IOContext,
+        page_ids: Sequence[int],
+        sequential: bool,
+    ) -> int:
+        """:meth:`read_run` on one frame set; returns the number of hits."""
+        # Distinct pages in order of their last access in the run.
+        keys = [(file_id, page) for page in dict.fromkeys(page_ids[::-1])]
+        keys.reverse()
+        misses = len(keys) - sum(map(frames.__contains__, keys))
+        if len(frames) + misses > self.capacity_pages:
+            touch = self._touch
+            return sum(
+                touch(frames, (file_id, page), io, sequential)
+                for page in page_ids
+            )
+        move_to_end = frames.move_to_end
+        for key in keys:
+            frames[key] = None  # appends a new page, keeps a resident one
+            move_to_end(key)
+        if sequential:
+            io.charge_sequential_read(misses)
+        else:
+            io.charge_random_read(misses)
+        hits = len(page_ids) - misses
+        io.record_pool_hit(hits)
+        return hits
 
     def reader(
         self, file_id: FileId, io: IOContext, sequential: bool

@@ -6,11 +6,14 @@ All *reads* are routed through the buffer pool, which charges the
 caller's :class:`~repro.storage.accounting.IOContext`.  Scans read pages
 in allocation order with sequential I/O charges (readahead); RID fetches
 are random reads — this asymmetry is the entire economics of the paper's
-Index Seek vs. Table Scan decision.
+Index Seek vs. Table Scan decision.  Columnar index fetches read runs of
+row locators (:meth:`DataFile.fetch_runs`) with the same accounting as
+one :meth:`DataFile.fetch` per row.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.common.errors import StorageError
@@ -18,6 +21,12 @@ from repro.common.types import RID, FileId, PageId
 from repro.storage.accounting import IOContext
 from repro.storage.buffer import BufferPool
 from repro.storage.page import Page, rows_per_page
+
+
+#: Element type of row-locator arrays (:meth:`FileColumns.locate`): C
+#: ``int``, 4 bytes, enough for any simulated file; a larger page id or
+#: row position raises ``OverflowError`` rather than wrapping.
+LOCATOR_TYPECODE = "i"
 
 
 class FileColumns:
@@ -64,6 +73,17 @@ class FileColumns:
             column = vector.make_scan_column(values)
             self._columns[position] = column
         return column
+
+    def locate(self, rids: Iterable[RID]) -> tuple[array, array]:
+        """Row locators of ``rids``: their page ids and row positions, as
+        two parallel arrays (the input of :meth:`DataFile.fetch_runs`)."""
+        offsets = self.page_offsets
+        pages = array(LOCATOR_TYPECODE)
+        positions = array(LOCATOR_TYPECODE)
+        for rid in rids:
+            pages.append(rid.page_id)
+            positions.append(offsets[rid.page_id] + rid.slot)
+        return pages, positions
 
     def slice_rows(self, start: int, stop: int) -> "Any":
         """An arbitrary contiguous row range as a zero-copy columns view."""
@@ -192,29 +212,60 @@ class DataFile:
         self.buffer_pool.access(self.file_id, rid.page_id, io, sequential=False)
         return rid.page_id, page.get(rid.slot)
 
-    def fetch_chunks(
-        self, io: IOContext, rids: Iterable[RID], rows_per_chunk: int
-    ) -> Iterator[tuple[list[PageId], list[int]]]:
-        """Columnar form of :meth:`fetch` over a RID stream.
+    def fetch_runs(
+        self,
+        io: IOContext,
+        locators: tuple[array, array],
+        runs: Iterable[tuple[int, int]],
+        rows_per_chunk: int,
+        index_entries: bool = False,
+    ) -> Iterator[tuple[array, array]]:
+        """Columnar form of :meth:`fetch`, one run of locators at a time.
 
-        Reads each RID's page exactly as :meth:`fetch` would, in order,
-        and yields ``(page_ids, row_positions)`` per ``rows_per_chunk``
-        rows (the last chunk may be shorter): the rows' pages and their
-        positions in :meth:`file_columns`, for gathering column vectors.
+        ``locators`` are parallel arrays of data page ids and row
+        positions in :meth:`file_columns` (an index's
+        :meth:`~repro.storage.btree.BTreeIndex.locators`, or a sorted RID
+        list's); ``runs`` are ``[start, stop)`` slices of them, fetched in
+        order.  Yields ``(page_ids, row_positions)`` per
+        ``rows_per_chunk`` rows (the last chunk may be shorter), for
+        gathering column vectors.  With ``index_entries`` every row also
+        charges the index entry that located it, as a per-entry seek does.
+
+        The accounting is that of one :meth:`fetch` per row, in order,
+        but paid per run piece — a run cut at chunk boundaries: the
+        piece's entry charges are added one by one, then its pages are
+        read by one :meth:`~repro.storage.buffer.BufferPool.read_run`.
+        Entry CPU and page I/O land on separate accumulators, so paying
+        each in piece order reproduces the interleaved per-row sums bit
+        for bit.  ``runs`` is consumed lazily — an index's
+        :meth:`~repro.storage.btree.BTreeIndex.seek_runs` reads a leaf
+        only when its run is reached, after any chunk before it has been
+        yielded — so a consumer that stops early has read exactly what
+        the per-row drive would have.
         """
-        read_page = self.buffer_pool.reader(self.file_id, io, sequential=False)
-        page_offsets = self.file_columns().page_offsets
-        page_ids: list[PageId] = []
-        positions: list[int] = []
-        for rid in rids:
-            read_page(rid.page_id)
-            page_ids.append(rid.page_id)
-            positions.append(page_offsets[rid.page_id] + rid.slot)
-            if len(page_ids) >= rows_per_chunk:
-                yield page_ids, positions
-                page_ids, positions = [], []
-        if page_ids:
-            yield page_ids, positions
+        pages, positions = locators
+        read_run = self.buffer_pool.read_run
+        file_id = self.file_id
+        chunk_pages = array(LOCATOR_TYPECODE)
+        chunk_positions = array(LOCATOR_TYPECODE)
+        for run_start, run_stop in runs:
+            while run_start < run_stop:
+                piece_stop = min(
+                    run_stop, run_start + rows_per_chunk - len(chunk_pages)
+                )
+                if index_entries:
+                    io.charge_index_entries(piece_stop - run_start)
+                piece = pages[run_start:piece_stop]
+                read_run(file_id, io, piece)
+                chunk_pages += piece
+                chunk_positions += positions[run_start:piece_stop]
+                run_start = piece_stop
+                if len(chunk_pages) >= rows_per_chunk:
+                    yield chunk_pages, chunk_positions
+                    chunk_pages = array(LOCATOR_TYPECODE)
+                    chunk_positions = array(LOCATOR_TYPECODE)
+        if chunk_pages:
+            yield chunk_pages, chunk_positions
 
     def page_reader(self, io: IOContext) -> Callable[[PageId], bool]:
         """A page reader for scans: each call is one sequential

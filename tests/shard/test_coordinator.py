@@ -10,10 +10,12 @@ from repro.common.cancellation import CancellationToken
 from repro.common.errors import EngineError, ShardError
 from repro.core.requests import AccessPathRequest
 from repro.engine.engine import WorkloadItem
-from repro.optimizer import SingleTableQuery
+from repro.exec import execute
+from repro.exec.merge import ShardStream, gather_for_plan
+from repro.optimizer import InListSeekPlan, SingleTableQuery
 from repro.session import Session
 from repro.shard import ShardCoordinator
-from repro.sql import Comparison, conjunction_of
+from repro.sql import Comparison, InList, conjunction_of
 from repro.workloads import build_synthetic_database
 
 NUM_SHARDS = 4
@@ -158,3 +160,17 @@ class TestLifecycle:
         report = coordinator.report()
         assert f"shards: {NUM_SHARDS} (range partitioning)" in report
         assert "plan-cache:" in report
+
+
+def test_in_list_merge_follows_the_probe_order(database):
+    """Shard streams of an IN-list seek merge in the order a single
+    engine probes the values: ascending, not by ``repr``."""
+    plan = InListSeekPlan(
+        "t", "ix_c2", InList("c2", (9, 10, 100, 2)), conjunction_of()
+    )
+    shard_rows = ([(2,), (10,)], [(2,), (9,), (100,)])
+    streams = [
+        ShardStream(index, rows, ("c2",)) for index, rows in enumerate(shard_rows)
+    ]
+    merged = execute(gather_for_plan(plan, streams, database), database)
+    assert merged.rows == [(2,), (2,), (9,), (10,), (100,)]
